@@ -26,18 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOutputError, DimensionMismatchError
-from .prob import Distribution
+from .prob import Distribution, _freeze
 
 COLUMN_SUM_ATOL = 1e-12
 SIGN_ATOL = 1e-9
 TIE_ATOL = 1e-10
 LOSSLESS_ATOL = 1e-10
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +45,8 @@ class ChannelMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or 0 in entries.shape:
             raise DimensionMismatchError("channel must be a non-empty 2-D matrix")
+        if not np.all(np.isfinite(entries)):
+            raise DimensionMismatchError("channel entries must be finite")
         if np.any(entries < 0) or np.any(entries > 1):
             raise DimensionMismatchError("channel entries must lie in [0, 1]")
         sums = entries.sum(axis=0)
@@ -129,7 +125,7 @@ def _canonical_order(s: np.ndarray, right: np.ndarray, left: np.ndarray):
         group = sorted(order[i : j + 1], key=lambda k: cols[k])
         final.extend(group)
         i = j + 1
-    idx = np.array(final)
+    idx = np.array(final, dtype=int)
     return s[idx], right[:, idx], left[:, idx]
 
 

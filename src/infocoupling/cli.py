@@ -142,7 +142,7 @@ def parse_channel_spec(path: str) -> dict:
         for t in raw["transmitters"]:
             dists.append(_parse_distribution(t.get("input_dist")))
         sizes = [d.alphabet_size for d in dists]
-        flat = np.asarray(raw["joint_channel"], dtype=float).ravel()
+        flat = _numeric(raw["joint_channel"], "joint_channel").ravel()
         block = int(np.prod(sizes))
         if flat.size % block != 0:
             raise SpecError("joint_channel length is not a multiple of the input sizes")
@@ -163,15 +163,27 @@ def parse_channel_spec(path: str) -> dict:
     return {"name": name, "kind": "channel", "input_dist": px, "channels": mats}
 
 
+def _numeric(data, what: str) -> np.ndarray:
+    """Spec values as a float array; non-numeric or non-finite entries
+    are parse errors."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{what} must be numeric: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise SpecError(f"{what} has a non-finite entry")
+    return arr
+
+
 def _parse_distribution(data) -> Distribution:
     try:
-        return Distribution(np.asarray(data, dtype=float))
-    except (InvalidDistributionError, TypeError, ValueError) as exc:
+        return Distribution(_numeric(data, "input_dist"))
+    except InvalidDistributionError as exc:
         raise SpecError(f"bad input_dist: {exc}") from exc
 
 
 def _parse_channel(data, nx: int) -> ChannelMatrix:
-    arr = np.asarray(data, dtype=float)
+    arr = _numeric(data, "channel")
     if arr.ndim != 2 or arr.shape[1] != nx:
         raise SpecError(
             f"channel must be 2-D with {nx} columns (one per input symbol)"
@@ -470,12 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Local information-coupling analysis of discrete channels",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("INFOCOUPLING_THREADS", "1")),
-        help="solver parallelism (default 1 for reproducibility)",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_spec = sub.add_parser("spectrum", help="coupling matrix spectrum report")

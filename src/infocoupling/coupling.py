@@ -7,9 +7,14 @@ on the valid-perturbation plane,
 
     max { min_i tr(G_i M) :  M >= 0,  tr M = 1,  M v0 = 0 },
 
-with ``G_i = B_i^T B_i``; this module solves it through the convex dual
-``min_{w in simplex} lambda_max(Pi (sum_i w_i G_i) Pi)`` and recovers an
-achieving ensemble of antipodal perturbation pairs from the optimal Gram
+with ``G_i = B_i^T B_i``.  Its convex dual is
+``min_{w in simplex} lambda_max(Pi (sum_i w_i G_i) Pi)``, and this module
+closes the two by column generation (Kelley's cutting-plane method on the
+dual): a linear program mixes rank-one columns into the best Gram matrix
+they span, its dual weights ``w`` query the largest eigenvalue of the
+weighted forms, and the top eigenvectors become new columns until the
+primal and dual values certify a gap of at most 1e-7.  An achieving
+ensemble of antipodal perturbation pairs is read off the optimal Gram
 matrix.  For a common source feeding a multiple access channel the
 per-transmitter coupling matrices stack side by side and a single
 singular-vector computation answers the question, coherent combining
@@ -37,19 +42,15 @@ from .prob import (
     ConditionalFamily,
     Distribution,
     WeightedVector,
+    _freeze,
     kl_divergence,
 )
 
 ENSEMBLE_ATOL = 1e-9
 GAP_TOL = 1e-7
 SHARED_POINT_ATOL = 1e-10
-DUAL_BUDGET = 10_000
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
+CG_GAP = 1e-10
+CG_ROUNDS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,149 +174,43 @@ def valid_plane_basis(px: Distribution) -> np.ndarray:
     return null_space(v0[np.newaxis, :])
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
+def _plane_forms(dtms):
+    """Shared operating point, valid-plane basis ``Q``, and each receiver's
+    quadratic form ``Q^T B_i^T B_i Q`` on that plane."""
+    px = _require_shared_input(dtms)
+    q = valid_plane_basis(px)
+    forms = []
+    for d in dtms:
+        h = q.T @ (d.matrix.T @ d.matrix) @ q
+        forms.append(0.5 * (h + h.T))
+    return px, q, forms
 
 
-class _DualObjective:
-    """Largest eigenvalue of the weighted quadratic-form combination,
-    restricted to the valid plane; remembers the best weights seen."""
+def _maxmin_lp(ratings: np.ndarray):
+    """``max_p min_i (ratings @ p)_i`` over the probability simplex.
 
-    def __init__(self, h_list):
-        self.h_list = h_list
-        self.best_value = math.inf
-        self.best_w = None
-        self.evaluations = 0
-
-    def __call__(self, w: np.ndarray):
-        self.evaluations += 1
-        a = sum(wi * h for wi, h in zip(w, self.h_list))
-        vals, vecs = np.linalg.eigh(a)
-        value = float(vals[-1])
-        if value < self.best_value:
-            self.best_value = value
-            self.best_w = np.array(w)
-        return value, vecs[:, -1], vals, vecs
-
-
-def _golden_section_dual(obj: _DualObjective, iterations: int = 90):
-    """Minimize the K=2 dual over the weight t of the first system."""
-
-    def g(t):
-        return obj(np.array([t, 1.0 - t]))[0]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(iterations):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = g(d)
-    for t in (0.0, 1.0, 0.5 * (a + b)):
-        g(t)
-
-
-def _polyak_subgradient_dual(obj: _DualObjective, k: int, budget: int):
-    """Projected subgradient with Polyak-style steps and a shrinking
-    optimistic target; standard treatment for a sharp convex minimum."""
-    w = np.full(k, 1.0 / k)
-    value, top, _, _ = obj(w)
-    delta = 0.5 * max(value, 1e-9)
-    stall = 0
-    for _ in range(budget - 1):
-        subgrad = np.array([float(top @ h @ top) for h in obj.h_list])
-        target = obj.best_value - delta
-        norm2 = float(subgrad @ subgrad)
-        if norm2 < 1e-30:
-            break
-        step = (value - target) / norm2
-        w = _project_simplex(w - step * subgrad)
-        previous_best = obj.best_value
-        value, top, _, _ = obj(w)
-        if obj.best_value < previous_best - 1e-15:
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 25:
-                delta *= 0.5
-                stall = 0
-                w = obj.best_w.copy()
-                value, top, _, _ = obj(w)
-        if delta < 1e-14 * max(obj.best_value, 1e-9):
-            break
-
-
-def _pairwise_polish_dual(obj: _DualObjective, passes: int = 6):
-    """Golden-section sweeps over every coordinate pair of the simplex.
-
-    A deterministic finisher for the subgradient phase: each sweep moves
-    mass between two weights at a time, which is exact for the piecewise
-    smooth dual along those segments."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    w = obj.best_w.copy()
-    for _ in range(passes):
-        before = obj.best_value
-        for i in range(w.size):
-            for j in range(i + 1, w.size):
-                total = w[i] + w[j]
-                if total < 1e-14:
-                    continue
-
-                def g(t):
-                    trial = w.copy()
-                    trial[i] = t
-                    trial[j] = total - t
-                    return obj(trial)[0]
-
-                a, b = 0.0, total
-                c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
-                f1, f2 = g(c1), g(c2)
-                for _ in range(40):
-                    if f1 < f2:
-                        b, c2, f2 = c2, c1, f1
-                        c1 = b - invphi * (b - a)
-                        f1 = g(c1)
-                    else:
-                        a, c1, f1 = c1, c2, f2
-                        c2 = a + invphi * (b - a)
-                        f2 = g(c2)
-                w = obj.best_w.copy()
-        if before - obj.best_value < 1e-15:
-            break
-
-
-def _sphere_grid(dim: int, resolution: int, rng_seed: int = 20_240_501) -> np.ndarray:
-    """Deterministic spread of unit vectors in ``dim`` dimensions."""
-    if dim == 1:
-        return np.array([[1.0]])
-    if dim == 2:
-        theta = np.linspace(0.0, math.pi, resolution, endpoint=False)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if dim == 3:
-        pts = []
-        n = resolution * resolution // 8
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        for i in range(n):
-            z = 1.0 - 2.0 * (i + 0.5) / n
-            r = math.sqrt(max(0.0, 1.0 - z * z))
-            pts.append([r * math.cos(golden * i), r * math.sin(golden * i), z])
-        return np.asarray(pts)
-    rng = np.random.default_rng(rng_seed)
-    pts = rng.standard_normal((resolution * dim, dim))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    Returns the optimal mixture ``p`` and the LP's dual weights over the
+    rows, which lie on the simplex as well.
+    """
+    k, n = ratings.shape
+    c_vec = np.zeros(n + 1)
+    c_vec[-1] = -1.0
+    res = linprog(
+        c_vec,
+        A_ub=np.hstack([-ratings, np.ones((k, 1))]),
+        b_ub=np.zeros(k),
+        A_eq=np.hstack([np.ones((1, n)), np.zeros((1, 1))]),
+        b_eq=np.ones(1),
+        bounds=[(0, None)] * n + [(None, None)],
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if not res.success:
+        raise BudgetError(f"max-min linear program failed: {res.message}", best_gap=None)
+    p = np.maximum(res.x[:n], 0.0)
+    p /= p.sum()
+    w = np.abs(np.asarray(res.ineqlin.marginals))
+    return p, w / w.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,142 +242,58 @@ class BroadcastSolution:
         return self.ensemble.cardinality
 
 
-def _primal_candidates(h_list, a_vals, a_vecs, seen, rng_seed: int = 7):
-    """Candidate unit directions for the primal mixture.
-
-    The optimal Gram matrix lives in the top eigenspace of the optimal
-    dual combination, but the numerically found weights sit slightly off
-    the exact optimum, splitting that eigenspace.  So the top two- and
-    three-dimensional eigen-subspaces are gridded unconditionally, and
-    the per-system top directions plus the eigenvectors collected during
-    the descent are thrown in as well."""
-    d = a_vecs.shape[0]
-    cands = [a_vecs[:, j] for j in range(d)]
-    if d >= 2:
-        theta = np.linspace(0.0, math.pi, 720, endpoint=False)
-        plane = a_vecs[:, -2:] @ np.stack([np.cos(theta), np.sin(theta)])
-        cands.extend(plane.T)
-    if d >= 3:
-        sphere = _sphere_grid(3, 110)
-        cands.extend((a_vecs[:, -3:] @ sphere.T).T)
-    if d >= 4:
-        lam = a_vals[-1]
-        tol = max(1e-6 * max(abs(lam), 1.0), 1e-12)
-        top = a_vecs[:, a_vals >= lam - tol]
-        if top.shape[1] > 3:
-            rng = np.random.default_rng(rng_seed)
-            raw = rng.standard_normal((60 * top.shape[1], top.shape[1]))
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            cands.extend((top @ raw.T).T)
-    for h in h_list:
-        vals, vecs = np.linalg.eigh(h)
-        cands.append(vecs[:, -1])
-        if d > 1:
-            cands.append(vecs[:, -2])
-    cands.extend(seen)
-    mat = np.stack(cands)
-    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    return mat
+def _ratings(forms, cols: np.ndarray) -> np.ndarray:
+    """Quadratic image ``c^T H_i c`` of every column under every form."""
+    return np.stack([np.einsum("jd,de,je->j", cols, h, cols) for h in forms])
 
 
-def solve_broadcast(dtms, budget: int = DUAL_BUDGET, epsilon: float = 1.0) -> BroadcastSolution:
+def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     """Best common-message coupling value across receivers sharing an input.
 
-    Solves the Gram relaxation exactly: dual descent over receiver
-    weights (golden section for two receivers, projected subgradient
-    with Polyak steps beyond), then a small linear program over rank-one
-    mixtures drawn from the optimal dual's top eigenspace.  Raises
-    :class:`BudgetError` carrying the best gap when primal and dual fail
-    to meet within ``GAP_TOL``.
+    Solves the Gram relaxation exactly by column generation.  Each round
+    solves the max-min linear program over mixtures of the rank-one
+    columns found so far (one per receiver's top eigenvector to start);
+    the mixture is a primal Gram matrix, and the LP's dual weights ``w``
+    query the largest eigenvalue of ``sum_i w_i H_i``, an upper bound on
+    the optimum whose top two eigenvectors join the columns.  The best
+    primal and the smallest eigenvalue seen bracket the optimum; the loop
+    stops once they meet within ``CG_GAP`` or a round improves neither.
+    Raises :class:`BudgetError` carrying the gap when it ends above
+    ``GAP_TOL``.
     """
     k = len(dtms)
     if not 1 <= k <= 8:
         raise InputMismatchError("supported receiver counts are 1 through 8")
-    px = _require_shared_input(dtms)
-    q = valid_plane_basis(px)
-    h_list = []
-    for d in dtms:
-        g = d.matrix.T @ d.matrix
-        h = q.T @ g @ q
-        h_list.append(0.5 * (h + h.T))
-
-    obj = _DualObjective(h_list)
-    seen: list[np.ndarray] = []
-    if k == 1:
-        _, top, _, _ = obj(np.array([1.0]))
-        seen.append(top)
-    elif k == 2:
-        _golden_section_dual(obj)
-    else:
-        _polyak_subgradient_dual(obj, k, budget // 2)
-        _pairwise_polish_dual(obj)
-
-    _, top, a_vals, a_vecs = obj(obj.best_w)
-    seen.append(top)
-
-    cands = _primal_candidates(h_list, a_vals, a_vecs, seen)
-
-    def mixture_lp(ratings: np.ndarray):
-        """max_p min_i (ratings @ p), returning the mixture and the LP's
-        own dual weights over the systems (the cutting-plane feedback)."""
-        n_c = ratings.shape[1]
-        c_vec = np.zeros(n_c + 1)
-        c_vec[-1] = -1.0
-        res = linprog(
-            c_vec,
-            A_ub=np.hstack([-ratings, np.ones((k, 1))]),
-            b_ub=np.zeros(k),
-            A_eq=np.hstack([np.ones((1, n_c)), np.zeros((1, 1))]),
-            b_eq=np.ones(1),
-            bounds=[(0, None)] * n_c + [(None, None)],
-            method="highs",
-        )
-        if not res.success:
-            raise BudgetError("primal mixture LP failed", best_gap=None)
-        p = np.maximum(res.x[:n_c], 0.0)
-        p /= p.sum()
-        duals = np.abs(np.asarray(res.ineqlin.marginals))
-        total = duals.sum()
-        duals = np.full(k, 1.0 / k) if total < 1e-12 else duals / total
-        return p, duals
-
-    ratings = np.stack([np.einsum("jd,de,je->j", cands, h, cands) for h in h_list])
-    best_primal = -math.inf
-    best_m = None
-    # cutting-plane endgame: the LP dual weights query the eigenvalue
-    # oracle, whose top directions enter the candidate set as new cuts
-    for _ in range(40):
-        p, w_lp = mixture_lp(ratings)
-        m_small = (cands.T * p) @ cands
-        m_small = 0.5 * (m_small + m_small.T)
-        m_small /= np.trace(m_small)
-        primal = min(float(np.sum(h * m_small)) for h in h_list)
-        if primal > best_primal:
-            best_primal, best_m = primal, m_small
-        if obj.best_value - best_primal <= 0.5 * GAP_TOL:
+    px, q, forms = _plane_forms(dtms)
+    cols = np.stack([np.linalg.eigh(h)[1][:, -1] for h in forms])
+    ratings = _ratings(forms, cols)
+    primal, dual = -math.inf, math.inf
+    for _ in range(CG_ROUNDS):
+        p, w = _maxmin_lp(ratings)
+        m = (cols.T * p) @ cols
+        m = 0.5 * (m + m.T)
+        m /= np.trace(m)
+        values = np.array([float(np.sum(h * m)) for h in forms])
+        vals, vecs = np.linalg.eigh(sum(wi * h for wi, h in zip(w, forms)))
+        improved = False
+        if values.min() > primal:
+            primal, m_star, system_values, improved = float(values.min()), m, values, True
+        if vals[-1] < dual:
+            dual, w_star, improved = float(vals[-1]), w, True
+        if dual - primal <= CG_GAP or not improved:
             break
-        _, _, cut_vals, cut_vecs = obj(w_lp)
-        new = cut_vecs[:, -2:].T if cut_vals.size > 1 else cut_vecs[:, -1:].T
-        cands = np.vstack([cands, new])
-        ratings = np.hstack(
-            [ratings, np.stack([np.einsum("jd,de,je->j", new, h, new) for h in h_list])]
-        )
+        new = vecs[:, -2:].T
+        cols = np.vstack([cols, new])
+        ratings = np.hstack([ratings, _ratings(forms, new)])
 
-    m_small = best_m
-    dual_value = obj.best_value
-    system_values = np.array([float(np.sum(h * m_small)) for h in h_list])
-    primal_value = float(system_values.min())
-    w_star = obj.best_w
-    gap = dual_value - primal_value
+    gap = dual - primal
     if gap > GAP_TOL:
-        raise BudgetError(
-            f"duality gap {gap!r} above tolerance after budget", best_gap=gap
-        )
+        raise BudgetError(f"duality gap {gap!r} above tolerance", best_gap=gap)
 
-    gram_full = q @ m_small @ q.T
+    gram_full = q @ m_star @ q.T
     gram_full = 0.5 * (gram_full + gram_full.T)
 
-    mu, phi = np.linalg.eigh(m_small)
+    mu, phi = np.linalg.eigh(m_star)
     keep = mu > 1e-12
     mu, phi = mu[keep], phi[:, keep]
     order = np.argsort(mu)[::-1]
@@ -499,10 +310,10 @@ def solve_broadcast(dtms, budget: int = DUAL_BUDGET, epsilon: float = 1.0) -> Br
         u_law=Distribution(weights), directions=tuple(directions), epsilon=epsilon
     )
     return BroadcastSolution(
-        value=primal_value,
+        value=primal,
         ensemble=ensemble,
         dual_weights=w_star,
-        dual_value=dual_value,
+        dual_value=dual,
         gap=abs(gap),
         gram=gram_full,
         system_values=system_values,
@@ -570,13 +381,7 @@ def solve_broadcast_single_direction(
     :class:`BudgetError` when doubling the grid still moves the value by
     ``certificate_tol`` or more.
     """
-    px = _require_shared_input(dtms)
-    q = valid_plane_basis(px)
-    h_list = []
-    for d in dtms:
-        g = d.matrix.T @ d.matrix
-        h = q.T @ g @ q
-        h_list.append(0.5 * (h + h.T))
+    _, q, h_list = _plane_forms(dtms)
     dim = q.shape[1]
 
     def value_of(c: np.ndarray) -> float:
@@ -744,24 +549,10 @@ def diagonal_maxmin(inst: DiagonalInstance, target_levels=None) -> DiagonalMaxMi
             raise BudgetError("diagonal linear program failed")
         s = np.maximum(res.x, 0.0)
         value = float(squares[-1] @ s)
+        s /= s.sum()
     else:
-        c_vec = np.zeros(m + 1)
-        c_vec[-1] = -1.0
-        a_ub = np.hstack([-squares, np.ones((k, 1))])
-        res = linprog(
-            c_vec,
-            A_ub=a_ub,
-            b_ub=np.zeros(k),
-            A_eq=np.hstack([np.ones((1, m)), np.zeros((1, 1))]),
-            b_eq=np.ones(1),
-            bounds=[(0, None)] * m + [(None, None)],
-            method="highs-ds",
-        )
-        if not res.success:
-            raise BudgetError("diagonal linear program failed")
-        s = np.maximum(res.x[:m], 0.0)
+        s, _ = _maxmin_lp(squares)
         value = float(np.min(squares @ s))
-    s /= s.sum()
     support = tuple(int(i) for i in np.nonzero(s > 1e-12)[0])
     return DiagonalMaxMinResult(c_star=np.sqrt(s), support=support, value=value)
 

@@ -29,15 +29,9 @@ from .errors import (
     RegimeError,
 )
 from .instances import nested_ternary_channel, nested_ternary_operating_point
-from .prob import Distribution
+from .prob import Distribution, _freeze
 
 RATE_ATOL = 1e-12
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix
-from .coupling import valid_plane_basis
+from .coupling import _plane_forms, valid_plane_basis
 from .errors import (
     BudgetError,
     DimensionMismatchError,
     ResolutionError,
     SingularWeightError,
 )
-from .prob import Distribution
+from .prob import Distribution, _freeze
 
 ACE_MAX_ITERATIONS = 100_000
 ACE_TOL = 1e-12
@@ -32,18 +32,15 @@ ACE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Grid resolution (points per angular dimension), restart count, and
-    the seed recorded in every report."""
+    """Grid resolution (points per angular dimension) and the seed
+    recorded in every report."""
 
     grid_resolution: int
-    random_restarts: int = 0
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.grid_resolution < 8:
             raise ResolutionError("grid resolution must be at least 8")
-        if self.random_restarts < 0:
-            raise ResolutionError("restart count must be non-negative")
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -79,9 +76,7 @@ class BruteP2PResult:
     rng_seed: int
 
     def __post_init__(self):
-        d = np.array(self.best_direction, dtype=float)
-        d.flags.writeable = False
-        object.__setattr__(self, "best_direction", d)
+        object.__setattr__(self, "best_direction", _freeze(self.best_direction))
 
 
 def brute_p2p(
@@ -224,7 +219,6 @@ def s_ratio_search(w: ChannelMatrix, px: Distribution, budget: SearchBudget) -> 
         best = max(best, float(ratio.max()))
     local_budget = SearchBudget(
         grid_resolution=max(budget.grid_resolution, 360),
-        random_restarts=budget.random_restarts,
         rng_seed=budget.rng_seed,
     )
     local = brute_p2p(w, px, 1e-3, local_budget).best_ratio
@@ -263,17 +257,11 @@ def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
         raise DimensionMismatchError("need at least one receiver")
     if k > 3:
         raise DimensionMismatchError("exhaustive ensemble search supports at most 3 receivers")
-    px = dtms[0].input
-    q = valid_plane_basis(px)
+    _, q, h_list = _plane_forms(dtms)
     if q.shape[1] > 2:
         raise DimensionMismatchError(
             "exhaustive ensemble search needs a perturbation plane of dimension <= 2"
         )
-    h_list = []
-    for d in dtms:
-        g = d.matrix.T @ d.matrix
-        h = q.T @ g @ q
-        h_list.append(0.5 * (h + h.T))
 
     if q.shape[1] == 1:
         value = min(float(h[0, 0]) for h in h_list)

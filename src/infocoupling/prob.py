@@ -57,6 +57,12 @@ class Distribution:
         probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if probs.ndim != 1 or probs.size == 0:
             raise InvalidDistributionError("probs must be a non-empty 1-D vector")
+        bad = np.nonzero(~np.isfinite(probs))[0]
+        if bad.size:
+            raise InvalidDistributionError(
+                f"non-finite probability {probs[bad[0]]!r} at index {bad[0]}",
+                index=int(bad[0]),
+            )
         neg = np.nonzero(probs < 0)[0]
         if neg.size:
             raise InvalidDistributionError(

@@ -12,6 +12,7 @@ from infocoupling import (
     mutual_information,
     output_distribution,
     renyi_correlation,
+    solve_p2p,
     strong_dpi_coefficient,
     verify_top_singular,
 )
@@ -26,6 +27,12 @@ class TestChannelMatrix:
     def test_entries_must_be_probabilities(self):
         with pytest.raises(DimensionMismatchError):
             ChannelMatrix([[1.5, 0.0], [-0.5, 1.0]])
+
+    def test_entries_must_be_finite(self):
+        with pytest.raises(DimensionMismatchError):
+            ChannelMatrix(np.full((2, 2), np.nan))
+        with pytest.raises(DimensionMismatchError):
+            ChannelMatrix([[np.nan, 0.0], [0.5, 1.0]])
 
     def test_output_distribution_identity(self):
         px = Distribution([0.3, 0.7])
@@ -76,6 +83,20 @@ class TestBuildDtm:
         w = ChannelMatrix([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DegenerateOutputError):
             build_dtm(w, Distribution([0.5, 0.5]))
+
+    def test_single_symbol_alphabets(self):
+        # one output symbol, then one input symbol: the spectrum is the top
+        # pair alone and there is no coupling direction
+        cases = [
+            (ChannelMatrix([[1.0, 1.0, 1.0]]), Distribution([0.2, 0.3, 0.5])),
+            (ChannelMatrix([[0.3], [0.7]]), Distribution([1.0])),
+        ]
+        for w, px in cases:
+            dtm = build_dtm(w, px)
+            assert np.max(np.abs(dtm.singular_values - [1.0])) <= 1e-12
+            assert verify_top_singular(dtm).max_err <= 1e-12
+            with pytest.raises(DimensionMismatchError):
+                solve_p2p(dtm, 0.01)
 
     def test_zero_operating_point_rejected(self):
         with pytest.raises(SingularWeightError):

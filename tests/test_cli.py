@@ -204,3 +204,30 @@ class TestSpecParsing:
         )
         parsed = parse_channel_spec(str(spec))
         assert parsed["kind"] == "channel"
+
+    def test_non_numeric_and_non_finite_entries(self, capsys, tmp_path):
+        bad_entries = ["a", float("nan"), float("inf")]
+        specs = []
+        for entry in bad_entries:
+            specs.append(
+                ("spectrum", {"input_dist": [0.5, 0.5], "channel": [[entry, 0.1], [0.1, 0.9]]})
+            )
+            specs.append(("spectrum", {"input_dist": [entry, 0.5], "channel": [[0.9, 0.1], [0.1, 0.9]]}))
+            specs.append(
+                (
+                    "mac",
+                    {
+                        "transmitters": [{"input_dist": [0.5, 0.5]}, {"input_dist": [0.5, 0.5]}],
+                        "joint_channel": [entry, 1, 1, 0, 0, 0, 0, 1],
+                    },
+                )
+            )
+        for i, (kind, body) in enumerate(specs):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(body))
+            argv = ["spectrum", str(path)] if kind == "spectrum" else ["couple", str(path), "--mode", "mac"]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_PARSE, (body, err)
+            assert err.startswith("parse error:")
+            assert len(err.strip().splitlines()) == 1

@@ -69,8 +69,8 @@ class TestSolveBroadcast:
 
     def test_never_beats_best_private(self, rng):
         for _ in range(10):
-            nx = int(rng.integers(2, 6))
-            k = int(rng.integers(2, 5))
+            nx = int(rng.integers(2, 8))
+            k = int(rng.integers(2, 9))
             px = instances.random_distribution(rng, nx)
             dtms = [
                 build_dtm(instances.random_channel(rng, nx, int(rng.integers(2, 6))), px)

@@ -35,6 +35,11 @@ class TestDistribution:
         with pytest.raises(InvalidDistributionError):
             Distribution([0.5, 0.6])
 
+    def test_rejects_non_finite(self):
+        for probs in ([np.nan, 0.5], [np.inf, 0.0], [0.5, 0.5, np.nan]):
+            with pytest.raises(InvalidDistributionError):
+                Distribution(probs)
+
     def test_allows_zeros(self):
         d = Distribution([1.0, 0.0])
         assert not d.strictly_positive
