@@ -38,8 +38,9 @@ print(f"\nbest single direction    : {sd.value:.6f}  (= sigma1^2 / 4)")
 print(f"ensemble advantage       : {sol.value - sd.value:.6f}")
 
 est = brute_broadcast(dtms, SearchBudget(grid_resolution=180, rng_seed=0))
-print(f"\nexhaustive 1-degree grid : {est.lambda_estimate:.6f}")
-print("grid angles (deg)        :", [round(np.degrees(a), 1) for a in est.angles])
+print(f"\nexact Gram-disk oracle   : {est.lambda_estimate:.6f}")
+print("oracle angles (deg)      :", [round(float(np.degrees(a)), 1) for a in est.angles])
+print("oracle weights           :", [round(w, 6) for w in est.weights])
 
 print("\nsplitting a small budget eps^2 = 1e-4 between common and private:")
 for split in [(1e-4, 0.0, 0.0), (0.5e-4, 0.25e-4, 0.25e-4), (0.0, 0.5e-4, 0.5e-4)]:

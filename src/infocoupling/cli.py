@@ -138,9 +138,10 @@ def parse_channel_spec(path: str) -> dict:
     if "transmitters" in raw or "joint_channel" in raw:
         if "transmitters" not in raw or "joint_channel" not in raw:
             raise SpecError("MAC specs need both 'transmitters' and 'joint_channel'")
-        dists = []
-        for t in raw["transmitters"]:
-            dists.append(_parse_distribution(t.get("input_dist")))
+        ts = raw["transmitters"]
+        if not isinstance(ts, list) or not ts or not all(isinstance(t, dict) for t in ts):
+            raise SpecError("'transmitters' must be a non-empty list of objects")
+        dists = [_parse_distribution(t.get("input_dist")) for t in ts]
         sizes = [d.alphabet_size for d in dists]
         flat = _numeric(raw["joint_channel"], "joint_channel").ravel()
         block = int(np.prod(sizes))
@@ -542,7 +543,7 @@ def main(argv=None) -> int:
     except (DegenerateOutputError, SingularWeightError) as exc:
         print(f"numeric degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InputMismatchError, RegimeError, InvalidDistributionError) as exc:
+    except (InputMismatchError, RegimeError, InvalidDistributionError, DimensionMismatchError) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
     except (BudgetError, InfoCouplingError) as exc:

@@ -2,10 +2,11 @@
 
 Every closed-form claim in the package has a desk-scale check here that
 reaches the same number along a different computational path: exhaustive
-angular grids with exact divergence evaluations for the coupling
-solvers, and an alternating conditional-expectation iteration for the
-maximal correlation.  None of these routines touch the singular-value
-machinery they validate.
+angular grids with exact divergence evaluations for the point-to-point
+ratios, an exact enumeration of the max-min's candidate points on the
+Gram disk for the broadcast solver, and an alternating
+conditional-expectation iteration for the maximal correlation.  None of
+these routines touch the singular-value or LP machinery they validate.
 """
 
 from __future__ import annotations
@@ -238,25 +239,32 @@ class BruteBroadcastResult:
     rng_seed: int
 
 
-def _weight_grid(k: int, divisions: int) -> np.ndarray:
-    return _simplex_grid(k, divisions)
+def _combos(k: int, r: int):
+    return np.array(list(itertools.combinations(range(k), r)), dtype=int).reshape(-1, r).T
 
 
 def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
-    """Exhaustive grid search over ensembles of antipodal direction pairs.
+    """Exact max-min ensemble on a valid-perturbation plane of dimension
+    at most two.
 
-    Directions come from a uniform angular grid of the valid-perturbation
-    plane (which must have dimension at most two); ensembles combine up
-    to K of them with simplex-gridded weights.  A coarse full sweep picks
-    the neighborhood, a fine weight grid rescans it at full angular
-    resolution.  Everything is evaluated as exact quadratic images, so
-    the result is an independent lower reference for the max-min solver.
+    On a 2-D plane every ensemble's Gram matrix is
+    ``[[(1+a)/2, b/2], [b/2, (1-a)/2]]`` with ``x = (a, b)`` in the unit
+    disk, and receiver ``i`` sees the affine value ``c_i + g_i . x``.  The
+    max-min is attained at a KKT candidate: the origin, each
+    ``g_i / |g_i|``, a point where a line ``f_i = f_j`` meets the circle,
+    or a point where ``f_i = f_j = f_k``.  Every candidate is pulled into
+    the disk before it is scored, so each is a realizable ensemble and a
+    spurious one (a triple point outside the disk, a line missing it, the
+    roundoff of a tangent line) cannot overshoot.  No grid, eigen-solver
+    or LP is involved, so the result is independent of the solver it
+    checks.  The ensemble comes back in closed form as two antipodal pairs
+    at angles ``phi`` and ``phi + pi/2`` with weights ``(1 +- r)/2``.  The
+    enumeration reads no resolution from ``budget``; only its ``rng_seed``
+    is recorded.
     """
     k = len(dtms)
     if k < 1:
         raise DimensionMismatchError("need at least one receiver")
-    if k > 3:
-        raise DimensionMismatchError("exhaustive ensemble search supports at most 3 receivers")
     _, q, h_list = _plane_forms(dtms)
     if q.shape[1] > 2:
         raise DimensionMismatchError(
@@ -272,43 +280,31 @@ def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
             rng_seed=budget.rng_seed,
         )
 
-    resolution = budget.grid_resolution
-    theta = np.linspace(0.0, math.pi, resolution, endpoint=False)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    profiles = np.stack([np.einsum("jd,de,je->j", dirs, h, dirs) for h in h_list])
-
-    def sweep(angle_idx: np.ndarray, divisions: int):
-        wt = _weight_grid(k, divisions)
-        combos = np.array(
-            list(itertools.combinations_with_replacement(range(angle_idx.size), k)),
-            dtype=int,
+    h = np.stack(h_list)
+    c = 0.5 * (h[:, 0, 0] + h[:, 1, 1])
+    g = np.stack([0.5 * (h[:, 0, 0] - h[:, 1, 1]), h[:, 0, 1]], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        i, j = _combos(k, 2)
+        n = g[i] - g[j]
+        nn = np.sum(n * n, axis=1)
+        foot = n * ((c[j] - c[i]) / nn)[:, np.newaxis]
+        half = np.sqrt(np.clip(1.0 - np.sum(foot * foot, axis=1), 0.0, None) / nn)
+        chord = np.stack([-n[:, 1], n[:, 0]], axis=1) * half[:, np.newaxis]
+        i, j, l = _combos(k, 3)
+        u, v, s, t = g[j] - g[i], g[l] - g[i], c[i] - c[j], c[i] - c[l]
+        det = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        meet = np.stack([s * v[:, 1] - t * u[:, 1], t * u[:, 0] - s * v[:, 0]], axis=1)
+        pts = np.vstack(
+            [np.zeros((1, 2)), g / np.hypot(g[:, :1], g[:, 1:]), foot + chord, foot - chord,
+             meet / det[:, np.newaxis]]
         )
-        best_val, best_combo, best_wt = -math.inf, None, None
-        chunk = max(1, 20_000_000 // max(1, wt.shape[0] * k * k))
-        for start in range(0, combos.shape[0], chunk):
-            part = combos[start : start + chunk]
-            prof = profiles[:, angle_idx[part]]  # (k_sys, n_combo, k)
-            vals = np.einsum("snk,wk->snw", prof, wt).min(axis=0)  # (n_combo, n_w)
-            flat = int(np.argmax(vals))
-            ci, wi = divmod(flat, wt.shape[0])
-            if vals[ci, wi] > best_val:
-                best_val = float(vals[ci, wi])
-                best_combo = angle_idx[part[ci]]
-                best_wt = wt[wi]
-        return best_val, best_combo, best_wt
-
-    stride = max(1, resolution // 45)
-    coarse_idx = np.arange(0, resolution, stride)
-    _, combo, _ = sweep(coarse_idx, 12)
-    window = set()
-    for idx in combo:
-        for off in range(-2 * stride, 2 * stride + 1):
-            window.add(int(idx + off) % resolution)
-    fine_idx = np.array(sorted(window))
-    value, combo, weights = sweep(fine_idx, 60)
+    pts = pts[np.all(np.isfinite(pts), axis=1)]
+    pts /= np.maximum(np.hypot(pts[:, :1], pts[:, 1:]), 1.0)
+    a, b = pts[int(np.argmax((c + pts @ g.T).min(axis=1)))]
+    r, phi = min(math.hypot(a, b), 1.0), 0.5 * math.atan2(b, a)
     return BruteBroadcastResult(
-        lambda_estimate=value,
-        angles=tuple(float(theta[i]) for i in combo),
-        weights=tuple(float(v) for v in weights),
+        lambda_estimate=float(np.min(c + g @ np.array([a, b]))),
+        angles=(phi % math.pi, (phi + 0.5 * math.pi) % math.pi),
+        weights=(0.5 * (1.0 + r), 0.5 * (1.0 - r)),
         rng_seed=budget.rng_seed,
     )

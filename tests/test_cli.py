@@ -103,6 +103,15 @@ class TestCoupleCommand:
         code = main(["couple", str(SPEC_DIR / "adder_mac.json"), "--mode", "p2p"])
         assert code == EXIT_CONSTRAINT
 
+    def test_too_small_alphabet_exit_code(self, capsys, tmp_path):
+        spec = tmp_path / "one_output.json"
+        spec.write_text(json.dumps({"input_dist": [0.5, 0.5], "channel": [[1.0, 1.0]]}))
+        code = main(["couple", str(spec), "--mode", "p2p"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONSTRAINT
+        assert err.startswith("constraint violation:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_broadcast_requires_shared_inputs(self, capsys, tmp_path):
         other = tmp_path / "other.json"
         other.write_text(
@@ -229,5 +238,18 @@ class TestSpecParsing:
             code = main(argv)
             err = capsys.readouterr().err
             assert code == EXIT_PARSE, (body, err)
+            assert err.startswith("parse error:")
+            assert len(err.strip().splitlines()) == 1
+
+    def test_mac_transmitters_must_be_objects(self, capsys, tmp_path):
+        bad = [[1, 2], [], "x", {"input_dist": [0.5, 0.5]}, [{"input_dist": [0.5, 0.5]}, None]]
+        for i, transmitters in enumerate(bad):
+            path = tmp_path / f"mac{i}.json"
+            path.write_text(
+                json.dumps({"transmitters": transmitters, "joint_channel": [1, 0, 0, 1]})
+            )
+            code = main(["couple", str(path), "--mode", "mac"])
+            err = capsys.readouterr().err
+            assert code == EXIT_PARSE, (transmitters, err)
             assert err.startswith("parse error:")
             assert len(err.strip().splitlines()) == 1

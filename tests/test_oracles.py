@@ -13,6 +13,7 @@ from infocoupling import (
     s_ratio_search,
     solve_broadcast,
     strong_dpi_coefficient,
+    valid_plane_basis,
 )
 from infocoupling.errors import DimensionMismatchError, ResolutionError, SingularWeightError
 
@@ -165,3 +166,31 @@ class TestBruteBroadcast:
         b = brute_broadcast(windmill_dtms, budget)
         assert a.lambda_estimate == b.lambda_estimate
         assert a.angles == b.angles and a.weights == b.weights
+
+    def test_matches_solver_beyond_three_receivers(self, rng):
+        for _ in range(30):
+            k = int(rng.integers(4, 9))
+            px = instances.random_distribution(rng, 3)
+            dtms = [
+                build_dtm(instances.random_channel(rng, 3, int(rng.integers(2, 6))), px)
+                for _ in range(k)
+            ]
+            res = brute_broadcast(dtms, SearchBudget(grid_resolution=8, rng_seed=3))
+            assert abs(res.lambda_estimate - solve_broadcast(dtms).value) <= 1e-8
+
+    def test_ensemble_realizes_estimate(self, rng, windmill_dtms):
+        families = [windmill_dtms]
+        for k in range(1, 9):
+            px = instances.random_distribution(rng, 3)
+            families.append([build_dtm(instances.random_channel(rng, 3, 4), px) for _ in range(k)])
+        for dtms in families:
+            res = brute_broadcast(dtms, SearchBudget(grid_resolution=8, rng_seed=3))
+            assert len(res.angles) == len(res.weights) == 2
+            assert min(res.weights) >= 0.0 and sum(res.weights) == pytest.approx(1.0, abs=1e-15)
+            q = valid_plane_basis(dtms[0].input)
+            dirs = [q @ np.array([np.cos(a), np.sin(a)]) for a in res.angles]
+            realized = min(
+                sum(w * float(np.sum((d.matrix @ v) ** 2)) for w, v in zip(res.weights, dirs))
+                for d in dtms
+            )
+            assert abs(realized - res.lambda_estimate) <= 1e-12
