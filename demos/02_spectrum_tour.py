@@ -30,8 +30,8 @@ for i in range(3):
 
 top = verify_top_singular(dtm)
 print(
-    f"\ntop pair is analytic: |sigma0-1| = {top.sigma0_err:.1e}, "
-    f"||v0 - sqrt(P_X)|| = {top.v0_err:.1e}"
+    f"\ntop triple (1, sqrt(P_X), sqrt(P_Y)) is a singular triple of B: "
+    f"|w0'B v0 - 1| = {top.sigma0_err:.1e}, ||B'w0 - v0|| = {top.v0_err:.1e}"
 )
 
 print(

@@ -8,15 +8,16 @@ plain matrix-vector product ``P_Y = W @ P_X``.  At an operating point
     B = diag(sqrt(P_Y))^-1 @ W @ diag(sqrt(P_X))
 
 maps weighted input perturbations to weighted output perturbations.  Its
-full singular system is computed once at construction and cached; the
-top pair is always ``sigma_0 = 1`` with right vector ``sqrt(P_X)`` and
-left vector ``sqrt(P_Y)``, and every other singular value is at most 1.
+top triple is exact: ``sigma_0 = 1``, right vector ``sqrt(P_X)``, left
+vector ``sqrt(P_Y)``.  The rest, all at most 1, is the SVD of
+``Q_Y^T B Q_X`` lifted by ``Q_X`` and ``Q_Y``, orthonormal bases of the
+valid planes orthogonal to those vectors.  It is computed once and cached.
 
-Sign and ordering conventions (needed for bit-reproducible spectra):
-singular values descend; within a tie (values within ``TIE_ATOL``) the
-right vectors are ordered lexicographically; each right vector's first
-component larger than ``SIGN_ATOL`` in magnitude is made positive, with
-the left vector flipped along with it.
+Sign and ordering conventions below the top triple (needed for
+bit-reproducible spectra): singular values descend; within a tie (values
+within ``TIE_ATOL``) the right vectors are ordered lexicographically;
+each right vector's first component larger than ``SIGN_ATOL`` in
+magnitude is made positive, with the left vector flipped along with it.
 """
 
 from __future__ import annotations
@@ -113,9 +114,8 @@ def _canonical_order(s: np.ndarray, right: np.ndarray, left: np.ndarray):
     """Stable descending order with lexicographic right-vector tie-break."""
     order = list(range(s.size))
     cols = [tuple(right[:, j]) for j in order]
-    order.sort(key=lambda j: cols[j])
-    order.sort(key=lambda j: -s[j])  # stable: ties keep lexicographic order
-    # group genuine ties (within TIE_ATOL) and re-sort each group lexicographically
+    order.sort(key=lambda j: -s[j])
+    # group genuine ties (within TIE_ATOL) and sort each group lexicographically
     final: list[int] = []
     i = 0
     while i < len(order):
@@ -129,52 +129,23 @@ def _canonical_order(s: np.ndarray, right: np.ndarray, left: np.ndarray):
     return s[idx], right[:, idx], left[:, idx]
 
 
-def compute_spectrum(matrix: np.ndarray, top_target: np.ndarray | None = None) -> Spectrum:
+def compute_spectrum(matrix: np.ndarray) -> Spectrum:
     """Deterministic full SVD under the package sign/ordering conventions.
 
-    When the analytically known top right vector ``top_target`` is given,
-    the top tied block (trivial in the generic case) is rotated so its
-    first right vector is exactly the target direction, which the tie
-    makes an equally valid choice; otherwise a tie at the top would
-    surface an arbitrary basis of the invariant subspace.  The aligned
-    column stays pinned at index 0.
+    A general matrix has no known singular pair, so a tie at the top
+    surfaces whichever basis of the tied subspace the SVD returns;
+    :func:`build_dtm` avoids that for coupling matrices by pinning the
+    analytic top pair and decomposing only the valid-plane block.
     """
     u, s, vt = np.linalg.svd(np.asarray(matrix, dtype=float), full_matrices=False)
-    right = vt.T.copy()
-    left = u.copy()
-    if top_target is not None:
-        right, left = _align_top_block(s, right, left, top_target)
-        r_rest, l_rest = _canonical_sign(right[:, 1:], left[:, 1:])
-        s_rest, r_rest, l_rest = _canonical_order(s[1:], r_rest, l_rest)
-        s = np.concatenate([s[:1], s_rest])
-        right = np.concatenate([right[:, :1], r_rest], axis=1)
-        left = np.concatenate([left[:, :1], l_rest], axis=1)
-        return Spectrum(s, right, left)
-    right, left = _canonical_sign(right, left)
-    s, right, left = _canonical_order(s, right, left)
-    return Spectrum(s, right, left)
+    right, left = _canonical_sign(vt.T.copy(), u.copy())
+    return Spectrum(*_canonical_order(s, right, left))
 
 
-def _align_top_block(s, right, left, target):
-    """Rotate the top tied singular block so its first column equals the
-    normalized projection of ``target`` (assumed to lie in the block)."""
-    from scipy.linalg import null_space
-
-    block = np.nonzero(s >= s[0] - TIE_ATOL)[0]
-    v = right[:, block]
-    w = left[:, block]
-    coeff = v.T @ (target / np.linalg.norm(target))
-    norm = np.linalg.norm(coeff)
-    if norm < 1e-9:
-        return right, left
-    c0 = coeff / norm
-    if block.size == 1:
-        rot = np.array([[1.0 if c0[0] >= 0 else -1.0]])
-    else:
-        rot = np.column_stack([c0, null_space(c0[np.newaxis, :])])
-    right[:, block] = v @ rot
-    left[:, block] = w @ rot
-    return right, left
+def valid_plane_basis(px: Distribution) -> np.ndarray:
+    """Orthonormal basis of the valid-perturbation plane (orthogonal
+    complement of ``sqrt(P_X)``), deterministic in ``px``."""
+    return np.linalg.svd(px.sqrt()[np.newaxis, :])[2][1:].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +182,8 @@ class Dtm:
 
 
 def build_dtm(w: ChannelMatrix, px: Distribution) -> Dtm:
-    """Build the divergence transition matrix and its cached spectrum.
+    """Build the divergence transition matrix and its cached spectrum:
+    the exact top triple, then the SVD of ``Q_Y^T B Q_X`` lifted back.
 
     Requires a strictly positive operating point and a strictly positive
     output distribution (otherwise the output weighting is singular).
@@ -224,12 +196,21 @@ def build_dtm(w: ChannelMatrix, px: Distribution) -> Dtm:
             f"output symbol {idx} has zero probability at this operating point"
         )
     b = (w.entries * px.sqrt()[np.newaxis, :]) / py.sqrt()[:, np.newaxis]
-    return Dtm(b, px, py, w, compute_spectrum(b, top_target=px.sqrt()))
+    qx, qy = valid_plane_basis(px), valid_plane_basis(py)
+    u, s, vt = np.linalg.svd(qy.T @ b @ qx, full_matrices=False)
+    right, left = _canonical_sign(qx @ vt.T, qy @ u)
+    s, right, left = _canonical_order(s, right, left)
+    spectrum = Spectrum(
+        np.concatenate([[1.0], s]),
+        np.column_stack([px.sqrt(), right]),
+        np.column_stack([py.sqrt(), left]),
+    )
+    return Dtm(b, px, py, w, spectrum)
 
 
 @dataclass(frozen=True)
 class TopPairReport:
-    """Residuals of the analytically known top singular triple."""
+    """Residuals of the cached top singular triple against ``B``."""
 
     sigma0_err: float
     v0_err: float
@@ -241,24 +222,20 @@ class TopPairReport:
 
 
 def verify_top_singular(dtm: Dtm) -> TopPairReport:
-    """Check ``sigma_0 = 1``, ``v_0 = sqrt(P_X)``, ``w_0 = sqrt(P_Y)``.
+    """Residuals ``|w_0^T B v_0 - sigma_0|``, ``||B^T w_0 - sigma_0 v_0||``
+    and ``||B v_0 - sigma_0 w_0||`` of the cached top triple.
 
-    Vectors are sign-aligned before differencing, so the report measures
-    subspace agreement rather than an arbitrary orientation.
-    """
+    The triple is pinned analytically, so comparing it with ``sqrt(P_X)``
+    would prove nothing; these test it against the stored matrix."""
     s = dtm.spectrum
+    sigma0 = float(s.singular_values[0])
     v0 = s.right_vectors[:, 0]
     w0 = s.left_vectors[:, 0]
-    v_ref = dtm.input.sqrt()
-    w_ref = dtm.output.sqrt()
-    if float(v0 @ v_ref) < 0:
-        v0 = -v0
-    if float(w0 @ w_ref) < 0:
-        w0 = -w0
+    b = dtm.matrix
     return TopPairReport(
-        sigma0_err=abs(float(s.singular_values[0]) - 1.0),
-        v0_err=float(np.linalg.norm(v0 - v_ref)),
-        w0_err=float(np.linalg.norm(w0 - w_ref)),
+        sigma0_err=abs(float(w0 @ b @ v0) - sigma0),
+        v0_err=float(np.linalg.norm(b.T @ w0 - sigma0 * v0)),
+        w0_err=float(np.linalg.norm(b @ v0 - sigma0 * w0)),
     )
 
 

@@ -144,9 +144,9 @@ def parse_channel_spec(path: str) -> dict:
         dists = [_parse_distribution(t.get("input_dist")) for t in ts]
         sizes = [d.alphabet_size for d in dists]
         flat = _numeric(raw["joint_channel"], "joint_channel").ravel()
-        block = int(np.prod(sizes))
-        if flat.size % block != 0:
-            raise SpecError("joint_channel length is not a multiple of the input sizes")
+        block = math.prod(sizes)
+        if flat.size == 0 or flat.size % block != 0:
+            raise SpecError("joint_channel length is not a positive multiple of the input sizes")
         ny = flat.size // block
         joint = flat.reshape((ny, *sizes))
         if float(np.max(np.abs(joint.sum(axis=0) - 1.0))) > PARSE_COLUMN_ATOL:
@@ -156,6 +156,8 @@ def parse_channel_spec(path: str) -> dict:
         raise SpecError("spec needs 'input_dist'")
     px = _parse_distribution(raw["input_dist"])
     if "channels" in raw:
+        if not isinstance(raw["channels"], list):
+            raise SpecError("'channels' must be a list of matrices")
         mats = [_parse_channel(c, px.alphabet_size) for c in raw["channels"]]
     elif "channel" in raw:
         mats = [_parse_channel(raw["channel"], px.alphabet_size)]
@@ -548,6 +550,11 @@ def main(argv=None) -> int:
         return EXIT_CONSTRAINT
     except (BudgetError, InfoCouplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except BrokenPipeError:
+        # point fd 1 at devnull so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

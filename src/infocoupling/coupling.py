@@ -16,9 +16,9 @@ weighted forms, and the top eigenvectors become new columns until the
 primal and dual values certify a gap of at most 1e-7.  An achieving
 ensemble of antipodal perturbation pairs is read off the optimal Gram
 matrix.  For a common source feeding a multiple access channel the
-per-transmitter coupling matrices stack side by side and a single
-singular-vector computation answers the question, coherent combining
-gain included.
+per-transmitter coupling matrices, each restricted to its valid plane,
+stack side by side and one top singular pair answers the question,
+coherent combining gain included.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize
 
-from .channel import ChannelMatrix, Dtm, TIE_ATOL, build_dtm
+from .channel import SIGN_ATOL, TIE_ATOL, ChannelMatrix, Dtm, build_dtm, valid_plane_basis
 from .errors import (
     BudgetError,
+    DegenerateOutputError,
     DimensionMismatchError,
     InfeasibleError,
     InputMismatchError,
@@ -45,12 +45,14 @@ from .prob import (
     _freeze,
     kl_divergence,
 )
+from .tensor import kron
 
 ENSEMBLE_ATOL = 1e-9
 GAP_TOL = 1e-7
 SHARED_POINT_ATOL = 1e-10
 CG_GAP = 1e-10
 CG_ROUNDS = 200
+MAC_PRIVATE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,13 +167,6 @@ def _require_shared_input(dtms) -> Distribution:
         if float(np.max(np.abs(d.input.probs - ref.probs))) > SHARED_POINT_ATOL:
             raise InputMismatchError("receivers do not share the input operating point")
     return ref
-
-
-def valid_plane_basis(px: Distribution) -> np.ndarray:
-    """Orthonormal basis of the valid-perturbation plane (orthogonal
-    complement of ``sqrt(P_X)``), deterministic in ``px``."""
-    v0 = px.sqrt()
-    return null_space(v0[np.newaxis, :])
 
 
 def _plane_forms(dtms):
@@ -601,13 +596,13 @@ class MacSolution:
     """Common-source coupling across transmitters of a multiple access
     channel.
 
-    The per-transmitter coupling matrices stack into ``[B_1 ... B_k]``;
-    after removing the known top pair (value ``sqrt(k)``, right vector
-    the stacked ``sqrt(P_X_i)/sqrt(k)``), the next singular value is the
-    common-source coupling coefficient.  Each block of the achieving
-    stacked vector is orthogonal to its own ``sqrt(P_X_i)`` (residuals
-    reported), and ``gain_db`` compares the common coefficient against
-    the best private one.
+    Each per-transmitter coupling matrix is restricted to its valid plane,
+    ``B_i Q_i``, and the restrictions stack into ``[B_1 Q_1 ... B_k Q_k]``;
+    its top singular value is the common-source coupling coefficient.
+    The achieving stacked vector is the top right vector lifted block by
+    block, so each block is orthogonal to its own ``sqrt(P_X_i)`` by
+    construction (residuals reported), and ``gain_db`` compares the
+    common coefficient against the best private one.
     """
 
     sigma_common: float
@@ -635,6 +630,8 @@ class MacSolution:
 
 
 def _require_shared_output(dtms) -> Distribution:
+    if not dtms:
+        raise InputMismatchError("need at least one transmitter")
     ref = dtms[0].output
     for d in dtms[1:]:
         if float(np.max(np.abs(d.output.probs - ref.probs))) > SHARED_POINT_ATOL:
@@ -644,25 +641,36 @@ def _require_shared_output(dtms) -> Distribution:
     return ref
 
 
-def solve_mac_common(dtms) -> MacSolution:
-    """Common-source coupling coefficient from the stacked coupling matrix."""
-    if not dtms:
-        raise InputMismatchError("need at least one transmitter")
-    _require_shared_output(dtms)
-    from .channel import compute_spectrum  # local import to avoid cycle noise
+def _common_pair(mats, dists):
+    """Top singular value of ``[B_1 Q_1 ... B_k Q_k]`` and its right
+    vector lifted to ``[Q_1 c_1; ...; Q_k c_k]``, where ``Q_i`` spans the
+    valid plane of ``dists[i]``; signed like a spectrum's right vectors."""
+    qs = [valid_plane_basis(p) for p in dists]
+    stacked = np.hstack([m @ q for m, q in zip(mats, qs)])
+    _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+    if s.size == 0:
+        return 0.0, np.zeros(sum(q.shape[0] for q in qs))
+    cuts = np.cumsum([q.shape[1] for q in qs])[:-1]
+    psi = np.concatenate([q @ c for q, c in zip(qs, np.split(vt[0], cuts))])
+    # a unit vector always has an entry above SIGN_ATOL
+    return float(s[0]), psi * np.sign(psi[np.abs(psi) > SIGN_ATOL][0])
 
-    b0 = np.hstack([d.matrix for d in dtms])
-    stacked_target = np.concatenate([d.input.sqrt() for d in dtms])
-    spec = compute_spectrum(b0, top_target=stacked_target)
-    sigma_common = float(spec.singular_values[1]) if len(spec) > 1 else 0.0
-    psi = spec.right_vectors[:, 1] if len(spec) > 1 else np.zeros(b0.shape[1])
-    residuals = []
-    start = 0
-    for d in dtms:
-        n = d.input.alphabet_size
-        residuals.append(float(psi[start : start + n] @ d.input.sqrt()))
-        start += n
+
+def solve_mac_common(dtms) -> MacSolution:
+    """Common-source coupling coefficient from the stacked coupling matrix.
+
+    Raises :class:`DegenerateOutputError` when no private coefficient
+    exceeds ``MAC_PRIVATE_FLOOR``: the common one is then at most
+    ``sqrt(k)`` times that, and the gain would be 0/0."""
+    _require_shared_output(dtms)
     private = np.array([d.second_singular_value for d in dtms])
+    if float(np.max(private)) <= MAC_PRIVATE_FLOOR:
+        raise DegenerateOutputError(
+            f"no private coupling coefficient exceeds {MAC_PRIVATE_FLOOR}; the gain is 0/0"
+        )
+    sigma_common, psi = _common_pair([d.matrix for d in dtms], [d.input for d in dtms])
+    cuts = np.cumsum([d.input.alphabet_size for d in dtms])[:-1]
+    residuals = [float(b @ d.input.sqrt()) for b, d in zip(np.split(psi, cuts), dtms)]
     gain_db = 10.0 * math.log10(sigma_common**2 / float(np.max(private) ** 2))
     return MacSolution(
         sigma_common=sigma_common,
@@ -676,22 +684,16 @@ def solve_mac_common(dtms) -> MacSolution:
 def mac_tensorization_check(dtms) -> float:
     """Gap between the two-letter and one-letter common-source coefficients.
 
-    Stacks the letterwise Kronecker squares, removes each stack's top
-    pair, and compares second singular values; tensorization makes the
-    difference vanish.
+    Computes the common-source coefficient of the stacked letterwise
+    Kronecker squares on their valid planes and compares it with the
+    one-letter coefficient; tensorization makes the difference vanish.
     """
-    from .channel import compute_spectrum
-    from .tensor import kron
-
     _require_shared_output(dtms)
-    b0 = np.hstack([d.matrix for d in dtms])
-    b02 = np.hstack([kron(d.matrix, d.matrix) for d in dtms])
-    target1 = np.concatenate([d.input.sqrt() for d in dtms])
-    target2 = np.concatenate([np.kron(d.input.sqrt(), d.input.sqrt()) for d in dtms])
-    s1 = compute_spectrum(b0, top_target=target1).singular_values
-    s2 = compute_spectrum(b02, top_target=target2).singular_values
-    one = float(s1[1]) if s1.size > 1 else 0.0
-    two = float(s2[1]) if s2.size > 1 else 0.0
+    one, _ = _common_pair([d.matrix for d in dtms], [d.input for d in dtms])
+    two, _ = _common_pair(
+        [kron(d.matrix, d.matrix) for d in dtms],
+        [Distribution(np.kron(d.input.probs, d.input.probs)) for d in dtms],
+    )
     return abs(two - one)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix
-from .coupling import _plane_forms, valid_plane_basis
+from .channel import ChannelMatrix, valid_plane_basis
+from .coupling import _plane_forms
 from .errors import (
     BudgetError,
     DimensionMismatchError,

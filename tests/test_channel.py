@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from infocoupling import (
     renyi_correlation,
     solve_p2p,
     strong_dpi_coefficient,
+    valid_plane_basis,
     verify_top_singular,
 )
 from infocoupling.errors import DegenerateOutputError, DimensionMismatchError, SingularWeightError
@@ -137,6 +139,44 @@ class TestTopSingularPair:
     def test_ternary_top_vector(self, ternary_dtm):
         v0 = ternary_dtm.right_vector(0)
         assert np.max(np.abs(v0 - [1 / math.sqrt(2), 0.5, 0.5])) <= 1e-9
+
+    def test_detects_a_corrupted_matrix(self, ternary_dtm):
+        # the top triple is pinned analytically, so only a residual against
+        # the stored matrix can notice that the matrix is wrong
+        bad = dataclasses.replace(ternary_dtm, matrix=ternary_dtm.matrix * 1.01)
+        assert verify_top_singular(bad).max_err >= 1e-3
+
+
+class TestValidPlaneSpectrum:
+    def test_tied_top_pair_is_exact(self, rng):
+        # a permutation channel ties every singular value at 1, so only the
+        # analytic construction can return sqrt(P_X) and sqrt(P_Y) exactly
+        for _ in range(100):
+            n = int(rng.integers(2, 7))
+            px = instances.random_distribution(rng, n)
+            dtm = build_dtm(ChannelMatrix(np.eye(n)[rng.permutation(n)]), px)
+            assert np.array_equal(dtm.right_vector(0), px.sqrt())
+            assert np.array_equal(dtm.left_vector(0), dtm.output.sqrt())
+
+    def test_vectors_orthonormal(self, rng):
+        for i in range(100):
+            nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            if i % 2:
+                w = instances.random_channel(rng, nx, ny)
+            else:
+                w = ChannelMatrix(np.eye(nx)[rng.permutation(nx)])
+            dtm = build_dtm(w, instances.random_distribution(rng, nx))
+            for vecs in (dtm.spectrum.right_vectors, dtm.spectrum.left_vectors):
+                gram = vecs.T @ vecs
+                assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+
+    def test_basis_matches_null_space(self, rng):
+        from scipy.linalg import null_space
+
+        for _ in range(200):
+            px = instances.random_distribution(rng, int(rng.integers(2, 9)))
+            q = valid_plane_basis(px)
+            assert np.max(np.abs(q - null_space(px.sqrt()[np.newaxis, :]))) <= 1e-12
 
 
 class TestStrongDpi:

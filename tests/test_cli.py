@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +102,23 @@ class TestCoupleCommand:
         assert res["gain_db"] == pytest.approx(3.0103, abs=1e-3)
         assert res["sigma_common"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_xor_mac_is_degenerate(self, capsys, tmp_path):
+        spec = tmp_path / "xor_mac.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "transmitters": [{"input_dist": [0.5, 0.5]}, {"input_dist": [0.5, 0.5]}],
+                    "joint_channel": [1, 0, 0, 1, 0, 1, 1, 0],
+                }
+            )
+        )
+        code = main(["couple", str(spec), "--mode", "mac"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DEGENERATE
+        assert captured.out == ""
+        assert captured.err.startswith("numeric degeneracy:")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_mode_mismatch_exit_code(self, capsys):
         code = main(["couple", str(SPEC_DIR / "adder_mac.json"), "--mode", "p2p"])
         assert code == EXIT_CONSTRAINT
@@ -150,6 +170,26 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert code == EXIT_CHECK_FAILED
         assert "first failing check" in err
+
+
+    def test_closed_stdout(self):
+        # the reader is gone before the report is written: one stderr line
+        # and exit 1, not a traceback
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "infocoupling.cli", "verify", "--suite", "tensor", "--budget", "20"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_CHECK_FAILED
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith("error: stdout was closed")
 
 
 class TestLayeredCommand:

@@ -20,7 +20,7 @@ from infocoupling import (
     split_rate_region,
     superposition_information,
 )
-from infocoupling.errors import InfeasibleError, InputMismatchError
+from infocoupling.errors import DegenerateOutputError, InfeasibleError, InputMismatchError
 
 WINDMILL_SIGMA_SQ = (2.0 / 3.0) * 0.64  # delta = 0.1
 
@@ -269,6 +269,19 @@ class TestMacCommon:
     def test_adder_two_letter_residual(self):
         dtms = build_mac_dtms(instances.binary_adder_joint(), instances.binary_adder_inputs())
         assert mac_tensorization_check(dtms) <= 1e-8
+
+    def test_xor_is_degenerate(self):
+        # Y = X1 xor X2 with uniform inputs: each input alone tells nothing
+        # about Y, so every private coefficient and the common one are 0
+        xor = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        dtms = build_mac_dtms(xor, [Distribution([0.5, 0.5])] * 2)
+        with pytest.raises(DegenerateOutputError):
+            solve_mac_common(dtms)
+
+    def test_no_transmitters_rejected(self):
+        for solver in (solve_mac_common, mac_tensorization_check):
+            with pytest.raises(InputMismatchError):
+                solver([])
 
     def test_mismatched_outputs_rejected(self, rng):
         d1 = build_dtm(instances.bsc(0.1), Distribution([0.5, 0.5]))
