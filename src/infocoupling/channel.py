@@ -40,7 +40,6 @@ class ChannelMatrix:
     """Column-stochastic conditional law ``entries[y, x] = P(y | x)``."""
 
     entries: np.ndarray
-    column_atol: float = COLUMN_SUM_ATOL
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -52,7 +51,7 @@ class ChannelMatrix:
             raise DimensionMismatchError("channel entries must lie in [0, 1]")
         sums = entries.sum(axis=0)
         worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > self.column_atol:
+        if worst > COLUMN_SUM_ATOL:
             raise DimensionMismatchError(
                 f"channel columns must sum to 1; worst deviation {worst!r}"
             )

@@ -127,8 +127,10 @@ def parse_channel_spec(path: str) -> dict:
 
     Returns a dict with ``name`` plus either ``channels`` (one or more
     column-stochastic matrices sharing ``input_dist``) or the MAC fields
-    ``transmitters`` and ``joint``.  Stochasticity is enforced at 1e-9
-    after parsing (decimal serialization is allowed that much slack).
+    ``transmitters`` and ``joint``.  Channel and joint columns must sum
+    to 1 within ``PARSE_COLUMN_ATOL`` (decimal serialization is allowed
+    that much slack) and are then divided by their sums, so everything
+    downstream sees columns stochastic to rounding.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -148,9 +150,7 @@ def parse_channel_spec(path: str) -> dict:
         if flat.size == 0 or flat.size % block != 0:
             raise SpecError("joint_channel length is not a positive multiple of the input sizes")
         ny = flat.size // block
-        joint = flat.reshape((ny, *sizes))
-        if float(np.max(np.abs(joint.sum(axis=0) - 1.0))) > PARSE_COLUMN_ATOL:
-            raise SpecError("joint channel columns must sum to 1 (within 1e-9)")
+        joint = _unit_columns(flat.reshape((ny, *sizes)), "joint channel")
         return {"name": name, "kind": "mac", "transmitters": dists, "joint": joint}
     if "input_dist" not in raw:
         raise SpecError("spec needs 'input_dist'")
@@ -178,6 +178,15 @@ def _numeric(data, what: str) -> np.ndarray:
     return arr
 
 
+def _unit_columns(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` with each column (the slices along axis 0) divided by its
+    sum, once every sum is within ``PARSE_COLUMN_ATOL`` of 1."""
+    sums = arr.sum(axis=0)
+    if float(np.max(np.abs(sums - 1.0))) > PARSE_COLUMN_ATOL:
+        raise SpecError(f"{what} columns must sum to 1 (within 1e-9)")
+    return arr / sums
+
+
 def _parse_distribution(data) -> Distribution:
     try:
         return Distribution(_numeric(data, "input_dist"))
@@ -192,7 +201,7 @@ def _parse_channel(data, nx: int) -> ChannelMatrix:
             f"channel must be 2-D with {nx} columns (one per input symbol)"
         )
     try:
-        return ChannelMatrix(arr, column_atol=PARSE_COLUMN_ATOL)
+        return ChannelMatrix(_unit_columns(arr, "channel"))
     except DimensionMismatchError as exc:
         raise SpecError(f"bad channel matrix: {exc}") from exc
 
@@ -278,7 +287,7 @@ def cmd_couple(args, argv) -> int:
             results["single_direction"] = {
                 "lambda_b": sd.value,
                 "psi": sd.psi,
-                "grid_gap": sd.grid_gap,
+                "optimality_gap": sd.optimality_gap,
             }
     elif args.mode == "mac":
         if len(specs) != 1 or specs[0]["kind"] != "mac":

@@ -15,10 +15,16 @@ they span, its dual weights ``w`` query the largest eigenvalue of the
 weighted forms, and the top eigenvectors become new columns until the
 primal and dual values certify a gap of at most 1e-7.  An achieving
 ensemble of antipodal perturbation pairs is read off the optimal Gram
-matrix.  For a common source feeding a multiple access channel the
-per-transmitter coupling matrices, each restricted to its valid plane,
-stack side by side and one top singular pair answers the question,
-coherent combining gain included.
+matrix.  Restricting ``M`` to rank one gives the best single shared
+direction (max-min-fair multicast beamforming), for which the program
+above is the semidefinite relaxation.  On a 2-D plane each receiver's
+value is affine in ``(cos 2t, sin 2t)``, so the exact answer is one of
+finitely many circle points; on larger planes the relaxation's Gram
+matrix seeds an ascent by exact great-circle searches and its dual value
+bounds the remaining gap.  For a common source feeding a multiple
+access channel the per-transmitter coupling matrices, each restricted to
+its valid plane, stack side by side and one top singular pair answers
+the question, coherent combining gain included.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .channel import SIGN_ATOL, TIE_ATOL, ChannelMatrix, Dtm, build_dtm, valid_plane_basis
 from .errors import (
@@ -53,6 +59,8 @@ SHARED_POINT_ATOL = 1e-10
 CG_GAP = 1e-10
 CG_ROUNDS = 200
 MAC_PRIVATE_FLOOR = 1e-12
+VALUE_ATOL = 1e-15
+ASCENT_SWEEPS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,15 +178,12 @@ def _require_shared_input(dtms) -> Distribution:
 
 
 def _plane_forms(dtms):
-    """Shared operating point, valid-plane basis ``Q``, and each receiver's
-    quadratic form ``Q^T B_i^T B_i Q`` on that plane."""
+    """Shared operating point, valid-plane basis ``Q``, and the stack of
+    each receiver's quadratic form ``Q^T B_i^T B_i Q`` on that plane."""
     px = _require_shared_input(dtms)
     q = valid_plane_basis(px)
-    forms = []
-    for d in dtms:
-        h = q.T @ (d.matrix.T @ d.matrix) @ q
-        forms.append(0.5 * (h + h.T))
-    return px, q, forms
+    forms = np.stack([q.T @ (d.matrix.T @ d.matrix) @ q for d in dtms])
+    return px, q, 0.5 * (forms + forms.transpose(0, 2, 1))
 
 
 def _maxmin_lp(ratings: np.ndarray):
@@ -319,162 +324,129 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
 class SingleDirectionResult:
     """Best single coupling direction shared by all receivers.
 
-    ``grid_gap`` certifies grid adequacy: the change in the best grid
-    value when the angular resolution is doubled (nan when the search
-    dimension forced multi-start ascent instead of exhaustive grids).
+    ``optimality_gap`` bounds how far ``value`` may lie below the optimum:
+    0 on valid planes of dimension at most two, where the search is exact,
+    and beyond that the broadcast relaxation's dual value minus ``value``.
+    It is never NaN and never negative.
     """
 
     value: float
     psi: np.ndarray
-    grid_gap: float
+    optimality_gap: float
 
     def __post_init__(self):
         object.__setattr__(self, "psi", _freeze(self.psi))
 
 
-def _min_quadratic(h_list, c: np.ndarray) -> float:
-    return min(float(c @ h @ c) for h in h_list)
+def _worst_values(forms: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``min_i u^T H_i u`` for each row ``u`` of ``us``."""
+    return np.einsum("jd,kde,je->jk", us, forms, us).min(axis=1)
 
 
-def _polish_on_circle(h_list, start: np.ndarray, half_width: float) -> np.ndarray:
-    """Golden-section maximization of the worst quadratic image around a
-    grid optimum on the unit circle."""
-    theta0 = math.atan2(start[1], start[0])
-
-    def f(theta: float) -> float:
-        c = np.array([math.cos(theta), math.sin(theta)])
-        return _min_quadratic(h_list, c)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = theta0 - half_width, theta0 + half_width
-    c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(80):
-        if f1 > f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = f(c2)
-    theta = 0.5 * (a + b)
-    best = max(
-        [(f(theta), theta), (f(theta0), theta0)], key=lambda pair: pair[0]
-    )[1]
-    return np.array([math.cos(best), math.sin(best)])
+def _circle_candidates(forms: np.ndarray):
+    """``c, g`` with ``u^T H_i u = c_i + g_i . x`` for ``u = (cos t, sin t)``
+    and ``x = (cos 2t, sin 2t)``, from a stack of symmetric 2x2 forms, and
+    the points where ``max_{|x|=1} min_i c_i + g_i . x`` can sit: each
+    ``g_i / |g_i|``, then both points where each pair line ``f_i = f_j``
+    meets the circle (foot plus and minus half the chord).  A line that
+    misses the circle gives its foot twice, and a constant or repeated
+    form gives non-finite rows, for callers to drop."""
+    c = 0.5 * (forms[:, 0, 0] + forms[:, 1, 1])
+    g = np.stack([0.5 * (forms[:, 0, 0] - forms[:, 1, 1]), forms[:, 0, 1]], axis=1)
+    i, j = np.triu_indices(c.size, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = g[i] - g[j]
+        nn = np.sum(n * n, axis=1)
+        foot = n * ((c[j] - c[i]) / nn)[:, np.newaxis]
+        half = np.sqrt(np.clip(1.0 - np.sum(foot * foot, axis=1), 0.0, None) / nn)
+        chord = np.stack([-n[:, 1], n[:, 0]], axis=1) * half[:, np.newaxis]
+        return c, g, np.vstack([g / np.hypot(g[:, :1], g[:, 1:]), foot + chord, foot - chord])
 
 
-def solve_broadcast_single_direction(
-    dtms, grid_resolution: int = 360, certificate_tol: float = 1e-4
-) -> SingleDirectionResult:
+def _circle_directions(forms: np.ndarray) -> np.ndarray:
+    """Unit ``u`` in R^2 (rows), one of which maximizes ``min_i u^T H_i u``;
+    ``(1, 0)`` stands in for the case where every value is constant."""
+    x = np.vstack([[1.0, 0.0], _circle_candidates(forms)[2]])
+    x = x[np.all(np.isfinite(x), axis=1)]
+    t = 0.5 * np.arctan2(x[:, 1], x[:, 0])
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def _best_on_circle(forms: np.ndarray) -> np.ndarray:
+    us = _circle_directions(forms)
+    return us[int(np.argmax(_worst_values(forms, us)))]
+
+
+def _tangents(forms: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
+    """Search directions at the unit vector ``c``: each plane axis, then
+    for each receiver, each receiver pair and each set of the ``k >= 3``
+    worst receivers, the least-norm direction along which all their
+    values rise at the same first-order rate."""
+    grads = forms @ c
+    values = grads @ c
+    grads -= np.outer(values, c)
+    k, worst = len(forms), np.argsort(values, kind="stable")
+    sets = [[i] for i in range(k)] + [list(p) for p in itertools.combinations(range(k), 2)]
+    sets += [worst[:n] for n in range(3, k + 1)]
+    rises = [np.linalg.lstsq(grads[s], np.ones(len(s)), rcond=None)[0] for s in sets]
+    return list(np.eye(c.size)) + rises
+
+
+def _ascend(forms: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Monotone ascent of the worst value, each step an exact search on
+    the great circle through ``c`` along one of :func:`_tangents`; stops
+    when a sweep gains at most ``VALUE_ATOL`` or after ``ASCENT_SWEEPS``."""
+    value = _worst_values(forms, c[np.newaxis])[0]
+    for _ in range(ASCENT_SWEEPS):
+        start = value
+        for t in _tangents(forms, c):
+            # orthonormal (c, t'); t' is arbitrary when t is parallel to c
+            basis = np.linalg.qr(np.stack([c, t], axis=1))[0]
+            cand = basis @ _best_on_circle(basis.T @ forms @ basis)
+            cand /= np.linalg.norm(cand)
+            v = _worst_values(forms, cand[np.newaxis])[0]
+            if v > value:
+                c, value = cand, v
+        if value - start <= VALUE_ATOL:
+            break
+    return c
+
+
+def solve_broadcast_single_direction(dtms) -> SingleDirectionResult:
     """Max over unit directions (orthogonal to ``sqrt(P_X)``) of the worst
-    receiver's squared image.
+    receiver's squared image, ``max_{|c|=1} min_i c^T H_i c``.
 
-    Exhaustive angular grids up to a 3-dimensional search space, each
-    followed by a local polish; multi-start local ascent beyond.  Raises
-    :class:`BudgetError` when doubling the grid still moves the value by
-    ``certificate_tol`` or more.
+    On a valid plane of dimension at most two the answer is exact: the
+    best of :func:`_circle_directions`.  Beyond that the problem's
+    semidefinite relaxation is the Gram program of :func:`solve_broadcast`
+    (receiver counts 1 through 8).  The exact circle optimum on the span
+    of its Gram matrix's top two eigenvectors (which holds the optimum
+    when that matrix is rank one) starts :func:`_ascend`, and the
+    relaxation's dual value bounds the distance to the optimum.
     """
-    _, q, h_list = _plane_forms(dtms)
-    dim = q.shape[1]
-
-    def value_of(c: np.ndarray) -> float:
-        c = c / np.linalg.norm(c)
-        return _min_quadratic(h_list, c)
-
+    _, q, forms = _plane_forms(dtms)
+    dim, bound = q.shape[1], None
     if dim == 1:
-        c = np.array([1.0])
-        best = value_of(c)
-        psi = q[:, 0]
-        return SingleDirectionResult(best, psi, 0.0)
-
-    def best_on_grid(res: int):
-        if dim == 2:
-            theta = np.linspace(0.0, math.pi, res, endpoint=False)
-            cands = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        else:
-            theta = np.linspace(0.0, math.pi, res, endpoint=False)
-            phi = np.linspace(0.0, math.pi, res, endpoint=False)
-            tt, pp = np.meshgrid(theta, phi, indexing="ij")
-            cands = np.stack(
-                [np.cos(tt), np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp)], axis=-1
-            ).reshape(-1, 3)
-        best_val, best_c = -math.inf, None
-        chunk = 500_000
-        for start in range(0, cands.shape[0], chunk):
-            part = cands[start : start + chunk]
-            vals = np.min(
-                np.stack([np.einsum("jd,de,je->j", part, h, part) for h in h_list]),
-                axis=0,
-            )
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val, best_c = float(vals[j]), part[j]
-        return best_val, best_c
-
-    def polish(start: np.ndarray, res: int) -> np.ndarray:
-        if dim == 2:
-            return _polish_on_circle(h_list, start, 1.5 * math.pi / res)
-        opt = minimize(
-            lambda c: -value_of(c),
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000},
-        )
-        cand = opt.x / np.linalg.norm(opt.x)
-        return cand if value_of(cand) >= value_of(start) else start / np.linalg.norm(start)
-
-    if dim <= 3:
-        # certificate: the polished value must settle once the grid is
-        # fine enough to land in the right basin
-        res = grid_resolution if dim == 2 else min(grid_resolution, 180)
-        doublings = 6 if dim == 2 else 2
-        _, c = best_on_grid(res)
-        best_c = polish(c, res)
-        best_val = value_of(best_c)
-        grid_gap = math.inf
-        for _ in range(doublings):
-            res *= 2
-            _, c = best_on_grid(res)
-            cand = polish(c, res)
-            val = value_of(cand)
-            grid_gap = abs(val - best_val)
-            if val > best_val:
-                best_val, best_c = val, cand
-            if grid_gap < certificate_tol:
-                break
-        if grid_gap >= certificate_tol:
-            raise BudgetError(
-                f"grid value still moving by {grid_gap!r} after refinement",
-                best_gap=grid_gap,
-            )
+        us = np.ones((1, 1))
+    elif dim == 2:
+        us = _circle_directions(forms)
     else:
-        grid_gap = math.nan
-        starts = []
-        for h in h_list:
-            _, vecs = np.linalg.eigh(h)
-            starts.append(vecs[:, -1])
-        rng = np.random.default_rng(11)
-        extra = rng.standard_normal((8, dim))
-        starts.extend(extra / np.linalg.norm(extra, axis=1, keepdims=True))
-        best_val = -math.inf
-        best_c = None
-        for start in starts:
-            cand = polish(start, 0)
-            val = value_of(cand)
-            if val > best_val + 1e-15 or (
-                abs(val - best_val) <= 1e-15
-                and best_c is not None
-                and tuple(cand) < tuple(best_c)
-            ):
-                best_val, best_c = val, cand
-    psi = q @ best_c
-    psi /= np.linalg.norm(psi)
-    big = np.nonzero(np.abs(psi) > 1e-9)[0]
-    if big.size and psi[big[0]] < 0:
-        psi = -psi
-    return SingleDirectionResult(best_val, psi, grid_gap)
+        sol = solve_broadcast(dtms)
+        top = np.linalg.eigh(q.T @ sol.gram @ q)[1][:, -2:]
+        us = _ascend(forms, top @ _best_on_circle(top.T @ forms @ top))[np.newaxis]
+        bound = sol.dual_value
+    values, psis = _worst_values(forms, us), us @ q.T
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    # each first entry above SIGN_ATOL in magnitude positive
+    first = np.argmax(np.abs(psis) > SIGN_ATOL, axis=1)
+    psis *= np.sign(psis[np.arange(len(psis)), first])[:, np.newaxis]
+    # symmetric receivers tie several directions; the lexicographically
+    # largest psi, compared at 9 decimals so that roundoff cannot decide,
+    # keeps the result independent of the receivers' order
+    tied = np.nonzero(values >= values.max() - VALUE_ATOL)[0]
+    j = max(tied, key=lambda j: tuple(np.round(psis[j], 9)))
+    gap = 0.0 if bound is None else max(bound - float(values[j]), 0.0)
+    return SingleDirectionResult(float(values[j]), psis[j], gap)
 
 
 @dataclass(frozen=True, eq=False)

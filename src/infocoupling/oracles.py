@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, valid_plane_basis
-from .coupling import _plane_forms
+from .coupling import _circle_candidates, _plane_forms
 from .errors import (
     BudgetError,
     DimensionMismatchError,
@@ -239,10 +239,6 @@ class BruteBroadcastResult:
     rng_seed: int
 
 
-def _combos(k: int, r: int):
-    return np.array(list(itertools.combinations(range(k), r)), dtype=int).reshape(-1, r).T
-
-
 def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
     """Exact max-min ensemble on a valid-perturbation plane of dimension
     at most two.
@@ -265,14 +261,14 @@ def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
     k = len(dtms)
     if k < 1:
         raise DimensionMismatchError("need at least one receiver")
-    _, q, h_list = _plane_forms(dtms)
+    _, q, forms = _plane_forms(dtms)
     if q.shape[1] > 2:
         raise DimensionMismatchError(
             "exhaustive ensemble search needs a perturbation plane of dimension <= 2"
         )
 
     if q.shape[1] == 1:
-        value = min(float(h[0, 0]) for h in h_list)
+        value = float(forms[:, 0, 0].min())
         return BruteBroadcastResult(
             lambda_estimate=value,
             angles=(0.0,) * k,
@@ -280,24 +276,13 @@ def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
             rng_seed=budget.rng_seed,
         )
 
-    h = np.stack(h_list)
-    c = 0.5 * (h[:, 0, 0] + h[:, 1, 1])
-    g = np.stack([0.5 * (h[:, 0, 0] - h[:, 1, 1]), h[:, 0, 1]], axis=1)
+    c, g, circle = _circle_candidates(forms)
+    i, j, l = np.array(list(itertools.combinations(range(k), 3)), dtype=int).reshape(-1, 3).T
+    u, v, s, t = g[j] - g[i], g[l] - g[i], c[i] - c[j], c[i] - c[l]
+    det = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    meet = np.stack([s * v[:, 1] - t * u[:, 1], t * u[:, 0] - s * v[:, 0]], axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        i, j = _combos(k, 2)
-        n = g[i] - g[j]
-        nn = np.sum(n * n, axis=1)
-        foot = n * ((c[j] - c[i]) / nn)[:, np.newaxis]
-        half = np.sqrt(np.clip(1.0 - np.sum(foot * foot, axis=1), 0.0, None) / nn)
-        chord = np.stack([-n[:, 1], n[:, 0]], axis=1) * half[:, np.newaxis]
-        i, j, l = _combos(k, 3)
-        u, v, s, t = g[j] - g[i], g[l] - g[i], c[i] - c[j], c[i] - c[l]
-        det = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-        meet = np.stack([s * v[:, 1] - t * u[:, 1], t * u[:, 0] - s * v[:, 0]], axis=1)
-        pts = np.vstack(
-            [np.zeros((1, 2)), g / np.hypot(g[:, :1], g[:, 1:]), foot + chord, foot - chord,
-             meet / det[:, np.newaxis]]
-        )
+        pts = np.vstack([np.zeros((1, 2)), circle, meet / det[:, np.newaxis]])
     pts = pts[np.all(np.isfinite(pts), axis=1)]
     pts /= np.maximum(np.hypot(pts[:, :1], pts[:, 1:]), 1.0)
     a, b = pts[int(np.argmax((c + pts @ g.T).min(axis=1)))]

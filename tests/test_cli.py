@@ -254,6 +254,19 @@ class TestSpecParsing:
         parsed = parse_channel_spec(str(spec))
         assert parsed["kind"] == "channel"
 
+    def test_loose_columns_are_renormalized(self, capsys, tmp_path):
+        bsc = {"input_dist": [0.5, 0.5], "channel": [[0.9 + 1e-10, 0.1], [0.1, 0.9]]}
+        adder = json.loads((SPEC_DIR / "adder_mac.json").read_text())
+        adder["joint_channel"][0] += 1e-10
+        for body, mode in ((bsc, "p2p"), (adder, "mac")):
+            path = tmp_path / f"loose_{mode}.json"
+            path.write_text(json.dumps(body))
+            code, report = run(capsys, "couple", str(path), "--mode", mode)
+            assert code == EXIT_OK, body
+        assert report["results"]["gain_db"] == pytest.approx(3.0103, abs=1e-3)
+        parsed = parse_channel_spec(str(tmp_path / "loose_p2p.json"))
+        assert np.max(np.abs(parsed["channels"][0].entries.sum(axis=0) - 1.0)) <= 1e-15
+
     def test_non_numeric_and_non_finite_entries(self, capsys, tmp_path):
         bad_entries = ["a", float("nan"), float("inf")]
         specs = []

@@ -86,6 +86,13 @@ COMMANDS = (["spectrum"], ["couple", "--mode", "p2p"], ["couple", "--mode", "mac
 @hypothesis.example(spec={"input_dist": [0.5, 0.5], "channels": 1})
 @hypothesis.example(spec={"transmitters": [{"input_dist": [0.25] * 4}] * 30, "joint_channel": []})
 @hypothesis.example(spec={"transmitters": [{"input_dist": [0.5, 0.5]}] * 64, "joint_channel": [1]})
+@hypothesis.example(spec={"input_dist": [0.5, 0.5], "channel": [[0.9 + 1e-10, 0.1], [0.1, 0.9]]})
+@hypothesis.example(
+    spec={
+        "transmitters": [{"input_dist": [0.5, 0.5]}] * 2,
+        "joint_channel": [1 + 1e-10, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1],
+    }
+)
 def test_exit_code_contract(spec, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from infocoupling import (
     solve_p2p,
     split_rate_region,
     superposition_information,
+    valid_plane_basis,
 )
 from infocoupling.errors import DegenerateOutputError, InfeasibleError, InputMismatchError
 
@@ -123,7 +125,7 @@ class TestSingleDirection:
         sd = solve_broadcast_single_direction(windmill_dtms)
         assert sd.value <= 0.25 * WINDMILL_SIGMA_SQ + 1e-6
         assert sd.value == pytest.approx(0.25 * WINDMILL_SIGMA_SQ, abs=1e-6)
-        assert sd.grid_gap < 1e-4
+        assert sd.optimality_gap == 0.0
 
     def test_single_receiver(self, ternary_dtm):
         sd = solve_broadcast_single_direction([ternary_dtm])
@@ -147,6 +149,92 @@ class TestSingleDirection:
         sol = solve_broadcast(windmill_dtms)
         sd = solve_broadcast_single_direction(windmill_dtms)
         assert sol.value - sd.value >= 0.1 * WINDMILL_SIGMA_SQ
+
+
+def _random_family(rng, nx, k):
+    px = instances.random_distribution(rng, nx)
+    return [
+        build_dtm(instances.random_channel(rng, nx, int(rng.integers(2, 6))), px)
+        for _ in range(k)
+    ]
+
+
+def _grid_check(dtms, directions):
+    """Best worst value over unit plane directions (rows), and its
+    Lipschitz constant per radian on the sphere: along a great circle
+    each ``u^T H u`` oscillates with amplitude at most half the spread of
+    ``H``'s eigenvalues at twice the angle, so it moves by at most the
+    largest eigenvalue per radian, and so does their minimum."""
+    q = valid_plane_basis(dtms[0].input)
+    forms = np.stack([q.T @ d.matrix.T @ d.matrix @ q for d in dtms])
+    values = np.einsum("jd,kde,je->jk", directions, forms, directions).min(axis=1)
+    return float(values.max()), float(np.linalg.eigvalsh(forms).max())
+
+
+class TestSingleDirectionExact:
+    def test_circle_matches_dense_grid(self, rng):
+        theta = np.linspace(0.0, math.pi, 20_000, endpoint=False)
+        circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        for k in range(1, 9):
+            for _ in range(5):
+                dtms = _random_family(rng, 3, k)
+                sd = solve_broadcast_single_direction(dtms)
+                best, lipschitz = _grid_check(dtms, circle)
+                assert sd.optimality_gap == 0.0
+                assert best - 1e-12 <= sd.value <= best + lipschitz * 0.5 * math.pi / 20_000
+
+    def test_rank_one_gram_gives_relaxation_value(self, rng):
+        found = 0
+        for _ in range(30):
+            dtms = _random_family(rng, 4, int(rng.integers(1, 9)))
+            sol = solve_broadcast(dtms)
+            if np.linalg.eigvalsh(sol.gram)[-2] > 1e-9:
+                continue
+            found += 1
+            sd = solve_broadcast_single_direction(dtms)
+            assert abs(sd.value - sol.value) <= 1e-7
+            assert sd.optimality_gap <= 1e-7
+        assert found >= 5
+
+    def test_beats_dense_sphere_grid(self, rng):
+        n = 300
+        tt, pp = np.meshgrid(
+            np.linspace(0.0, math.pi, n, endpoint=False),
+            np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False),
+            indexing="ij",
+        )
+        sphere = np.stack(
+            [np.cos(tt), np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp)], axis=-1
+        ).reshape(-1, 3)
+        ranks = set()
+        for _ in range(20):
+            dtms = _random_family(rng, 4, int(rng.integers(2, 9)))
+            ranks.add(bool(np.linalg.eigvalsh(solve_broadcast(dtms).gram)[-2] > 1e-9))
+            sd = solve_broadcast_single_direction(dtms)
+            best, lipschitz = _grid_check(dtms, sphere)
+            # every point of the sphere lies within h / sqrt(2) of the grid
+            assert sd.value >= best - lipschitz * math.pi / n / math.sqrt(2.0)
+        assert ranks == {False, True}
+
+    def test_tied_directions_do_not_depend_on_receiver_order(self, windmill_dtms):
+        # the windmill ties three directions; the lexicographically largest
+        # signed one is returned whatever the order of the receivers
+        for order in itertools.permutations(range(3)):
+            sd = solve_broadcast_single_direction([windmill_dtms[i] for i in order])
+            assert np.max(np.abs(sd.psi - [0.5**0.5, 0.0, -(0.5**0.5)])) <= 1e-12
+
+    def test_never_above_dual_value(self, rng, windmill_dtms):
+        families = [windmill_dtms] + [
+            _random_family(rng, nx, k) for nx in (2, 3, 4, 5, 6) for k in (1, 3, 8)
+        ]
+        for dtms in families:
+            sol = solve_broadcast(dtms)
+            sd = solve_broadcast_single_direction(dtms)
+            assert sd.value <= sol.dual_value + 1e-12
+            exact = dtms[0].input.alphabet_size <= 3
+            assert sd.optimality_gap == (0.0 if exact else max(sol.dual_value - sd.value, 0.0))
+            assert abs(np.linalg.norm(sd.psi) - 1.0) <= 1e-12
+            assert abs(float(sd.psi @ dtms[0].input.sqrt())) <= 1e-12
 
 
 class TestDiagonalMaxMin:
