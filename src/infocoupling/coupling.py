@@ -535,7 +535,8 @@ def mac_marginal_channels(joint: np.ndarray, input_dists) -> tuple[list[ChannelM
     ``joint[y, x_1, ..., x_k]`` is the conditional law of the output;
     transmitter ``i``'s effective channel averages the joint over every
     other transmitter's input distribution, and all of them share the
-    output distribution at the operating point.
+    output distribution at the operating point.  Columns summing to 1
+    within 1e-9 are rescaled to sum to 1 exactly.
     """
     joint = np.asarray(joint, dtype=float)
     k = joint.ndim - 1
@@ -544,6 +545,7 @@ def mac_marginal_channels(joint: np.ndarray, input_dists) -> tuple[list[ChannelM
     col_sums = joint.sum(axis=0)
     if float(np.max(np.abs(col_sums - 1.0))) > 1e-9:
         raise DimensionMismatchError("joint channel columns must sum to 1")
+    joint = joint / col_sums
     channels = []
     for i in range(k):
         tmp = joint

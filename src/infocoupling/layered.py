@@ -12,6 +12,8 @@ The Monte Carlo simulator encodes layer bits as sub-block compositions
 (largest-remainder type rounding), pushes every symbol through the
 channel, and decodes each sub-block by minimum divergence between its
 empirical output distribution and the candidate outputs, layer by layer.
+Channel draws are batched over runs of sub-blocks in the symbol-by-symbol
+order, so a seed gives the same reports as drawing each symbol alone.
 """
 
 from __future__ import annotations
@@ -241,22 +243,14 @@ def _type_counts(probs: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _draw_output_counts(rng, w: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """Channel output counts for a sub-block with composition ``comp``."""
-    out = np.zeros(w.shape[0], dtype=int)
-    for x, c in enumerate(comp):
-        if c:
-            out += rng.multinomial(c, w[:, x])
-    return out
-
-
-def _decode(counts: np.ndarray, candidates: np.ndarray) -> int:
-    """Maximum-likelihood type decoding; ties resolve to bit 0."""
+def _decode(counts: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood type decoding of each row; ties resolve to bit 0."""
     with np.errstate(divide="ignore"):
         logq = np.log(candidates)
-    safe = np.where(counts[np.newaxis, :] > 0, logq, 0.0)
-    scores = (counts * safe).sum(axis=1)
-    return int(scores[1] > scores[0])
+    counts = counts[..., np.newaxis, :]
+    safe = np.where(counts > 0, logq, 0.0)
+    scores = (counts * safe).sum(axis=-1)
+    return scores[..., 1] > scores[..., 0]
 
 
 def _plugin_information(joint_counts: np.ndarray) -> float:
@@ -288,6 +282,10 @@ def simulate_layered(plan: LayerPlan, w: ChannelMatrix, cfg: BlockCodeConfig) ->
     decoded as its parent branch; a missed parent counts every dependent
     bit as an error.  Information estimates pair each layer's true bits
     with the outputs of the symbols that layer occupies.
+
+    One ``multinomial`` call draws a run of sub-blocks symbol by symbol,
+    in the order of one call per symbol, so seeded results are those of
+    the symbol-by-symbol draw; each trial is then decoded at once.
     """
     if len(plan.layers) == 2 and cfg.n2 is None:
         raise ConfigurationError("two-layer plans need n2 and k2 in the config")
@@ -295,49 +293,55 @@ def simulate_layered(plan: LayerPlan, w: ChannelMatrix, cfg: BlockCodeConfig) ->
     wm = w.entries
     ny = w.output_size
 
+    def draw(table, bits):
+        # (sub-blocks, n_x, n_y) draws in C order; a zero count draws nothing
+        return rng.multinomial(table[bits], wm.T).sum(axis=1)
+
     layer1 = plan.layers[0]
-    comps1 = [_type_counts(layer1.conditional(b).probs, cfg.n1) for b in (0, 1)]
+    table1 = np.stack([_type_counts(layer1.conditional(b).probs, cfg.n1) for b in (0, 1)])
     cands1 = np.stack([wm @ layer1.conditional(b).probs for b in (0, 1)])
 
     two = len(plan.layers) == 2
     if two:
         layer2 = plan.layers[1]
         branch = plan.branch_bits[0]
-        comps2 = [_type_counts(layer2.conditional(b).probs, cfg.n2) for b in (0, 1)]
+        table2 = np.stack([_type_counts(layer2.conditional(b).probs, cfg.n2) for b in (0, 1)])
         cands2 = np.stack([wm @ layer2.conditional(b).probs for b in (0, 1)])
 
     errors = [0, 0]
     totals = [0, 0]
     joint = [np.zeros((2, ny)), np.zeros((2, ny))]
-    symbols = [0, 0]
 
     for _ in range(cfg.trials):
         bits1 = rng.integers(0, 2, cfg.k1)
-        for bit1 in bits1:
-            totals[0] += 1
-            if two and bit1 == branch:
-                # the sub-block carries a second layer: its own output is
-                # the union of the small sub-blocks
-                bits2 = rng.integers(0, 2, cfg.k2)
-                block_counts = [_draw_output_counts(rng, wm, comps2[b]) for b in bits2]
-                counts = np.sum(block_counts, axis=0)
-                for bit2, c in zip(bits2, block_counts):
-                    joint[1][bit2] += c
-                symbols[1] += cfg.n2 * cfg.k2
-                totals[1] += cfg.k2
-                if _decode(counts, cands1) != bit1:
-                    errors[0] += 1
-                    errors[1] += cfg.k2  # a missed parent loses every inner bit
-                else:
-                    errors[1] += sum(
-                        _decode(c, cands2) != b for b, c in zip(bits2, block_counts)
-                    )
-            else:
-                counts = _draw_output_counts(rng, wm, comps1[bit1])
-                if _decode(counts, cands1) != bit1:
-                    errors[0] += 1
-            joint[0][bit1] += counts
-            symbols[0] += cfg.n1
+        counts = np.empty((cfg.k1, ny), dtype=int)
+        parents = np.flatnonzero(bits1 == branch) if two else ()
+        bits2, inner = [], []
+        start = 0
+        for i in parents:
+            # a continuing sub-block's own output is the union of its
+            # small sub-blocks
+            if start < i:
+                counts[start:i] = draw(table1, bits1[start:i])
+            bits2.append(rng.integers(0, 2, cfg.k2))
+            inner.append(draw(table2, bits2[-1]))
+            counts[i] = inner[-1].sum(axis=0)
+            start = i + 1
+        if start < cfg.k1:
+            counts[start:] = draw(table1, bits1[start:])
+
+        wrong1 = _decode(counts, cands1) != bits1
+        errors[0] += int(wrong1.sum())
+        totals[0] += cfg.k1
+        joint[0] += [counts[bits1 == b].sum(axis=0) for b in (0, 1)]
+        if len(parents):
+            bits2, inner = np.stack(bits2), np.stack(inner)
+            wrong2 = _decode(inner, cands2) != bits2
+            missed = wrong1[parents]
+            # a missed parent loses every inner bit
+            errors[1] += int(missed.sum()) * cfg.k2 + int(wrong2[~missed].sum())
+            totals[1] += bits2.size
+            joint[1] += [inner[bits2 == b].sum(axis=0) for b in (0, 1)]
 
     n_layers = 2 if two else 1
     return SimulationReport(
@@ -348,6 +352,6 @@ def simulate_layered(plan: LayerPlan, w: ChannelMatrix, cfg: BlockCodeConfig) ->
             _plugin_information(joint[l]) for l in range(n_layers)
         ),
         per_layer_bits=tuple(totals[:n_layers]),
-        per_layer_symbols=tuple(symbols[:n_layers]),
+        per_layer_symbols=tuple(n * t for n, t in zip((cfg.n1, cfg.n2), totals[:n_layers])),
         seed=cfg.seed,
     )

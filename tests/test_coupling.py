@@ -325,6 +325,14 @@ class TestMacCommon:
         expected = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
         assert np.max(np.abs(chans[0].entries - expected)) <= 1e-12
 
+    def test_joint_within_tolerance_is_renormalized(self):
+        joint = instances.binary_adder_joint()
+        joint[0, 0, 0] += 1e-10
+        dtms = build_mac_dtms(joint, instances.binary_adder_inputs())
+        sol = solve_mac_common(dtms)
+        assert abs(sol.sigma_common - 1.0) <= 1e-9
+        assert sol.gain_db == pytest.approx(3.0103, abs=1e-3)
+
     def test_single_transmitter(self, rng):
         joint = rng.dirichlet(np.ones(4), size=3).T  # (y=4... build explicitly
         joint = np.moveaxis(rng.dirichlet(np.ones(4), size=3), 1, 0)  # (4, 3)

@@ -17,6 +17,7 @@ from infocoupling.errors import (
     DegenerateLayerError,
     RegimeError,
 )
+from infocoupling.layered import SimulationReport, _plugin_information, _type_counts
 
 ETA, GAMMA = 0.2, 0.1
 
@@ -153,3 +154,141 @@ class TestSimulation:
     def test_block_structure_validation(self):
         with pytest.raises(ConfigurationError):
             BlockCodeConfig(n1=100, k1=10, n2=30, k2=4, trials=5, seed=0)
+
+
+def _reference_simulation(plan, w, cfg):
+    """The symbol-by-symbol simulation: one ``multinomial`` per input
+    symbol of each sub-block, one decode per sub-block."""
+    rng = np.random.default_rng(cfg.seed)
+    wm = w.entries
+    two = len(plan.layers) == 2
+
+    def draw(comp):
+        out = np.zeros(wm.shape[0], dtype=int)
+        for x, c in enumerate(comp):
+            if c:
+                out += rng.multinomial(c, wm[:, x])
+        return out
+
+    def decode(counts, cands):
+        with np.errstate(divide="ignore"):
+            safe = np.where(counts > 0, np.log(cands), 0.0)
+        scores = (counts * safe).sum(axis=1)
+        return int(scores[1] > scores[0])
+
+    layers, ns = plan.layers, (cfg.n1, cfg.n2)
+    comps = [[_type_counts(l.conditional(b).probs, n) for b in (0, 1)] for l, n in zip(layers, ns)]
+    cands = [np.stack([wm @ l.conditional(b).probs for b in (0, 1)]) for l in layers]
+    errors, totals, symbols = [0, 0], [0, 0], [0, 0]
+    joint = [np.zeros((2, w.output_size)), np.zeros((2, w.output_size))]
+    for _ in range(cfg.trials):
+        for bit1 in rng.integers(0, 2, cfg.k1):
+            totals[0] += 1
+            if two and bit1 == plan.branch_bits[0]:
+                bits2 = rng.integers(0, 2, cfg.k2)
+                inner = [draw(comps[1][b]) for b in bits2]
+                counts = np.sum(inner, axis=0)
+                for b, c in zip(bits2, inner):
+                    joint[1][b] += c
+                symbols[1] += cfg.n2 * cfg.k2
+                totals[1] += cfg.k2
+                if decode(counts, cands[0]) != bit1:
+                    errors[0] += 1
+                    errors[1] += cfg.k2
+                else:
+                    errors[1] += sum(decode(c, cands[1]) != b for b, c in zip(bits2, inner))
+            else:
+                counts = draw(comps[0][bit1])
+                errors[0] += decode(counts, cands[0]) != bit1
+            joint[0][bit1] += counts
+            symbols[0] += cfg.n1
+    n = len(layers)
+    return SimulationReport(
+        per_layer_error_rate=tuple(
+            errors[l] / totals[l] if totals[l] else math.nan for l in range(n)
+        ),
+        per_layer_empirical_rate=tuple(_plugin_information(joint[l]) for l in range(n)),
+        per_layer_bits=tuple(totals[:n]),
+        per_layer_symbols=tuple(symbols[:n]),
+        seed=cfg.seed,
+    )
+
+
+def _fields(rep):
+    # NaN-safe: a layer that never ran reports NaN on both sides
+    return (
+        tuple(repr(float(r)) for r in rep.per_layer_error_rate),
+        tuple(repr(float(r)) for r in rep.per_layer_empirical_rate),
+        rep.per_layer_bits,
+        rep.per_layer_symbols,
+        rep.seed,
+    )
+
+
+def _plans():
+    op = instances.nested_ternary_operating_point()
+    channel = instances.nested_ternary_channel(ETA, GAMMA)
+    return {
+        "two-layer": plan_ternary_two_layer(ETA, GAMMA),
+        "two-layer-small": plan_ternary_two_layer(0.05, 0.02),
+        "single-full-scale": single_layer_plan(greedy_layer(channel, op, 1.0)),
+        "single-edge": single_layer_plan(
+            greedy_layer(channel, Distribution([0.0, 0.5, 0.5]), 0.5, support=(1, 2))
+        ),
+    }
+
+
+BLOCK_SHAPES = [(40, 5, 5, 8), (40, 1, 5, 8), (40, 6, 40, 1), (24, 7, 8, 3), (16, 1, 16, 1)]
+
+
+class TestBatchedDrawsMatchReference:
+    @pytest.mark.parametrize("plan_name", sorted(_plans()))
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_reports_equal(self, plan_name, shape):
+        plan = _plans()[plan_name]
+        n1, k1, n2, k2 = shape
+        for w in (instances.nested_ternary_channel(ETA, GAMMA), instances.identity_channel(3)):
+            for trials, seed in [(1, 0), (2, 5), (3, 12345), (17, 7), (9, 1)]:
+                cfg = BlockCodeConfig(n1=n1, k1=k1, n2=n2, k2=k2, trials=trials, seed=seed)
+                got = simulate_layered(plan, w, cfg)
+                assert _fields(got) == _fields(_reference_simulation(plan, w, cfg))
+
+    def test_branchless_trial_reports_nan(self, plan, channel):
+        # seed 1 draws bit 0 for the only sub-block, so layer two never runs
+        cfg = BlockCodeConfig(n1=40, k1=1, n2=5, k2=8, trials=1, seed=1)
+        rep = simulate_layered(plan, channel, cfg)
+        assert rep.per_layer_bits == (1, 0)
+        assert math.isnan(rep.per_layer_error_rate[1])
+        assert _fields(rep) == _fields(_reference_simulation(plan, channel, cfg))
+
+    def test_rounding_infeasible_matches(self, channel):
+        layer = greedy_layer(channel, instances.nested_ternary_operating_point(), 0.05)
+        cfg = BlockCodeConfig(n1=2, k1=4, trials=2, seed=0)
+        messages = []
+        for simulate in (simulate_layered, _reference_simulation):
+            with pytest.raises(ConfigurationError) as info:
+                simulate(single_layer_plan(layer), channel, cfg)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize(
+        "seed, error_rates, empirical_rates, bits, symbols",
+        [
+            (12345, (0.0, 0.11809007755020878), (0.08195852982405151, 0.014019540789316881),
+             (10000, 40232), (4000000, 2011600)),
+            (1, (0.0, 0.11490498812351543), (0.08243789589395319, 0.014230766261858128),
+             (10000, 40416), (4000000, 2020800)),
+            (7, (0.0, 0.11651249753985436), (0.08231111325194303, 0.014021184527879555),
+             (10000, 40648), (4000000, 2032400)),
+        ],
+    )
+    def test_golden_reports_at_cli_defaults(
+        self, plan, channel, seed, error_rates, empirical_rates, bits, symbols
+    ):
+        # the CLI's default blocks; values recorded from the symbol-by-symbol draw
+        cfg = BlockCodeConfig(n1=400, k1=50, n2=50, k2=8, trials=200, seed=seed)
+        rep = simulate_layered(plan, channel, cfg)
+        assert rep.per_layer_error_rate == error_rates
+        assert rep.per_layer_empirical_rate == empirical_rates
+        assert rep.per_layer_bits == bits
+        assert rep.per_layer_symbols == symbols
