@@ -283,7 +283,7 @@ def cmd_couple(args, argv) -> int:
             "rate_common": _as_rate(0.5 * args.epsilon**2 * sol.value),
         }
         if args.single_direction:
-            sd = solve_broadcast_single_direction(dtms)
+            sd = solve_broadcast_single_direction(dtms, sol)
             results["single_direction"] = {
                 "lambda_b": sd.value,
                 "psi": sd.psi,

@@ -11,20 +11,22 @@ with ``G_i = B_i^T B_i``.  Its convex dual is
 ``min_{w in simplex} lambda_max(Pi (sum_i w_i G_i) Pi)``, and this module
 closes the two by column generation (Kelley's cutting-plane method on the
 dual): a linear program mixes rank-one columns into the best Gram matrix
-they span, its dual weights ``w`` query the largest eigenvalue of the
-weighted forms, and the top eigenvectors become new columns until the
-primal and dual values certify a gap of at most 1e-7.  An achieving
-ensemble of antipodal perturbation pairs is read off the optimal Gram
-matrix.  Restricting ``M`` to rank one gives the best single shared
-direction (max-min-fair multicast beamforming), for which the program
-above is the semidefinite relaxation.  On a 2-D plane each receiver's
-value is affine in ``(cos 2t, sin 2t)``, so the exact answer is one of
-finitely many circle points; on larger planes the relaxation's Gram
-matrix seeds an ascent by exact great-circle searches and its dual value
-bounds the remaining gap.  For a common source feeding a multiple
-access channel the per-transmitter coupling matrices, each restricted to
-its valid plane, stack side by side and one top singular pair answers
-the question, coherent combining gain included.
+they span, and the largest eigenvalue of the weighted forms is queried
+at its dual weights ``w`` and, after the first round, at three more
+points between the best dual weights so far and ``w`` (in-out
+separation, Ben-Ameur & Neto 2007).  The top eigenvectors of every query
+become new columns until the primal and dual values certify a gap of at
+most 1e-7.  An achieving ensemble of antipodal perturbation pairs is
+read off the optimal Gram matrix.  Restricting ``M`` to rank one gives
+the best single shared direction (max-min-fair multicast beamforming),
+for which the program above is the semidefinite relaxation.  On a 2-D
+plane each receiver's value is affine in ``(cos 2t, sin 2t)``, so the
+exact answer is one of finitely many circle points; on larger planes the
+relaxation's Gram matrix seeds an ascent by exact great-circle searches
+and its dual value bounds the remaining gap.  For a common source
+feeding a multiple access channel the per-transmitter coupling matrices,
+each restricted to its valid plane, stack side by side and one top
+singular pair answers the question, coherent combining gain included.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ GAP_TOL = 1e-7
 SHARED_POINT_ATOL = 1e-10
 CG_GAP = 1e-10
 CG_ROUNDS = 200
+PRICING_STEPS = (0.25, 0.5, 0.75, 1.0)
 MAC_PRIVATE_FLOOR = 1e-12
 VALUE_ATOL = 1e-15
 ASCENT_SWEEPS = 1000
@@ -172,6 +175,8 @@ def _require_shared_input(dtms) -> Distribution:
         raise InputMismatchError("need at least one coupling matrix")
     ref = dtms[0].input
     for d in dtms[1:]:
+        if d.input.alphabet_size != ref.alphabet_size:
+            raise InputMismatchError("receivers do not share the input alphabet")
         if float(np.max(np.abs(d.input.probs - ref.probs))) > SHARED_POINT_ATOL:
             raise InputMismatchError("receivers do not share the input operating point")
     return ref
@@ -221,7 +226,8 @@ class BroadcastSolution:
     dual value exceeds it by at most ``gap``.  ``gram`` is the achieving
     second-moment matrix (PSD, unit trace, annihilates ``sqrt(P_X)``)
     and ``ensemble`` realizes it with antipodal direction pairs, so the
-    auxiliary cardinality is at most twice the Gram rank.
+    auxiliary cardinality is at most twice the Gram rank.  ``rounds``
+    counts the linear programs solved on the way.
     """
 
     value: float
@@ -231,6 +237,7 @@ class BroadcastSolution:
     gap: float
     gram: np.ndarray
     system_values: np.ndarray
+    rounds: int
 
     def __post_init__(self):
         object.__setattr__(self, "dual_weights", _freeze(self.dual_weights))
@@ -253,13 +260,16 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     Solves the Gram relaxation exactly by column generation.  Each round
     solves the max-min linear program over mixtures of the rank-one
     columns found so far (one per receiver's top eigenvector to start);
-    the mixture is a primal Gram matrix, and the LP's dual weights ``w``
-    query the largest eigenvalue of ``sum_i w_i H_i``, an upper bound on
-    the optimum whose top two eigenvectors join the columns.  The best
-    primal and the smallest eigenvalue seen bracket the optimum; the loop
-    stops once they meet within ``CG_GAP`` or a round improves neither.
-    Raises :class:`BudgetError` carrying the gap when it ends above
-    ``GAP_TOL``.
+    the mixture is a primal Gram matrix.  For any simplex point ``x`` the
+    largest eigenvalue of ``sum_i x_i H_i`` bounds the optimum from above.
+    The first round queries it at the LP's dual weights ``w``; later
+    rounds query it at ``(1 - t) w* + t w`` for each ``t`` in
+    ``PRICING_STEPS``, where ``w*`` is the best dual point so far, which
+    roughly halves the number of linear programs.  The top two
+    eigenvectors of every query join the columns.  The best primal and
+    the smallest eigenvalue seen bracket the optimum; the loop stops once
+    they meet within ``CG_GAP`` or a round improves neither.  Raises
+    :class:`BudgetError` carrying the gap when it ends above ``GAP_TOL``.
     """
     k = len(dtms)
     if not 1 <= k <= 8:
@@ -268,21 +278,25 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     cols = np.stack([np.linalg.eigh(h)[1][:, -1] for h in forms])
     ratings = _ratings(forms, cols)
     primal, dual = -math.inf, math.inf
-    for _ in range(CG_ROUNDS):
+    for rounds in range(1, CG_ROUNDS + 1):
         p, w = _maxmin_lp(ratings)
         m = (cols.T * p) @ cols
         m = 0.5 * (m + m.T)
         m /= np.trace(m)
         values = np.array([float(np.sum(h * m)) for h in forms])
-        vals, vecs = np.linalg.eigh(sum(wi * h for wi, h in zip(w, forms)))
         improved = False
         if values.min() > primal:
             primal, m_star, system_values, improved = float(values.min()), m, values, True
-        if vals[-1] < dual:
-            dual, w_star, improved = float(vals[-1]), w, True
+        points = [w] if rounds == 1 else [(1 - t) * w_star + t * w for t in PRICING_STEPS]
+        new = []
+        for x in points:
+            vals, vecs = np.linalg.eigh(sum(xi * h for xi, h in zip(x, forms)))
+            if vals[-1] < dual:
+                dual, w_star, improved = float(vals[-1]), x, True
+            new.append(vecs[:, -2:].T)
         if dual - primal <= CG_GAP or not improved:
             break
-        new = vecs[:, -2:].T
+        new = np.vstack(new)
         cols = np.vstack([cols, new])
         ratings = np.hstack([ratings, _ratings(forms, new)])
 
@@ -317,6 +331,7 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
         gap=abs(gap),
         gram=gram_full,
         system_values=system_values,
+        rounds=rounds,
     )
 
 
@@ -412,7 +427,9 @@ def _ascend(forms: np.ndarray, c: np.ndarray) -> np.ndarray:
     return c
 
 
-def solve_broadcast_single_direction(dtms) -> SingleDirectionResult:
+def solve_broadcast_single_direction(
+    dtms, broadcast: BroadcastSolution | None = None
+) -> SingleDirectionResult:
     """Max over unit directions (orthogonal to ``sqrt(P_X)``) of the worst
     receiver's squared image, ``max_{|c|=1} min_i c^T H_i c``.
 
@@ -422,16 +439,20 @@ def solve_broadcast_single_direction(dtms) -> SingleDirectionResult:
     (receiver counts 1 through 8).  The exact circle optimum on the span
     of its Gram matrix's top two eigenvectors (which holds the optimum
     when that matrix is rank one) starts :func:`_ascend`, and the
-    relaxation's dual value bounds the distance to the optimum.
+    relaxation's dual value bounds the distance to the optimum.  A caller
+    holding ``solve_broadcast(dtms)`` already passes it as ``broadcast``
+    to skip solving the relaxation again.
     """
     _, q, forms = _plane_forms(dtms)
+    if broadcast is not None and len(broadcast.system_values) != len(dtms):
+        raise InputMismatchError("the broadcast solution is for a different receiver count")
     dim, bound = q.shape[1], None
     if dim == 1:
         us = np.ones((1, 1))
     elif dim == 2:
         us = _circle_directions(forms)
     else:
-        sol = solve_broadcast(dtms)
+        sol = solve_broadcast(dtms) if broadcast is None else broadcast
         top = np.linalg.eigh(q.T @ sol.gram @ q)[1][:, -2:]
         us = _ascend(forms, top @ _best_on_circle(top.T @ forms @ top))[np.newaxis]
         bound = sol.dual_value
@@ -608,6 +629,8 @@ def _require_shared_output(dtms) -> Distribution:
         raise InputMismatchError("need at least one transmitter")
     ref = dtms[0].output
     for d in dtms[1:]:
+        if d.output.alphabet_size != ref.alphabet_size:
+            raise InputMismatchError("transmitters do not share the output alphabet")
         if float(np.max(np.abs(d.output.probs - ref.probs))) > SHARED_POINT_ATOL:
             raise InputMismatchError(
                 "transmitters do not share the output distribution"

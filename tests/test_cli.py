@@ -150,6 +150,33 @@ class TestCoupleCommand:
         )
         assert code == EXIT_CONSTRAINT
 
+    def test_broadcast_with_mismatched_alphabets(self):
+        # a binary and a ternary receiver: one constraint line, no traceback
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "infocoupling.cli",
+                "couple",
+                str(SPEC_DIR / "bsc01.json"),
+                str(SPEC_DIR / "ternary_eta02_gamma01.json"),
+                "--mode",
+                "broadcast",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_CONSTRAINT
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            "constraint violation: receivers do not share the input alphabet"
+        ]
+
 
 class TestVerifyCommand:
     def test_tensor_suite_passes(self, capsys):

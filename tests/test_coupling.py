@@ -23,6 +23,7 @@ from infocoupling import (
     valid_plane_basis,
 )
 from infocoupling.errors import DegenerateOutputError, InfeasibleError, InputMismatchError
+from infocoupling.oracles import SearchBudget, brute_broadcast
 
 WINDMILL_SIGMA_SQ = (2.0 / 3.0) * 0.64  # delta = 0.1
 
@@ -430,3 +431,73 @@ class TestSuperpositionInformation:
             info = superposition_information(px, families)
             target = 0.5 * ((0.6 * eps) ** 2 + (0.5 * eps) ** 2 + (0.4 * eps) ** 2)
             assert info == pytest.approx(target, rel=1e-2)
+
+
+# total LP solves of solve_broadcast over the seed-2024 corpus below when
+# every round priced at the LP's dual weights only
+KELLEY_CORPUS_ROUNDS = 2222
+
+
+class TestBroadcastRounds:
+    def test_windmill_closes_in_first_round(self, windmill_dtms):
+        sol = solve_broadcast(windmill_dtms)
+        assert sol.rounds == 1
+        assert sol.value == pytest.approx(0.213333, abs=1e-6)
+        assert np.max(np.abs(sol.dual_weights - 1.0 / 3.0)) <= 1e-12
+
+    def test_seeded_corpus_needs_at_most_sixty_percent_of_kelley_rounds(self):
+        rng = np.random.default_rng(2024)
+        total = 0
+        for _ in range(150):
+            k = rng.integers(1, 9)
+            nx = rng.integers(2, 8)
+            px = instances.random_distribution(rng, nx)
+            chans = [instances.random_channel(rng, nx, rng.integers(2, 8)) for _ in range(k)]
+            sol = solve_broadcast([build_dtm(w, px) for w in chans])
+            assert sol.gap <= 1e-10
+            total += sol.rounds
+        assert total <= 0.6 * KELLEY_CORPUS_ROUNDS
+
+
+class TestMismatchedAlphabets:
+    def test_receivers_with_different_input_alphabets(self, ternary_dtm):
+        binary = build_dtm(instances.bsc(0.1), Distribution([0.5, 0.5]))
+        for dtms in ([binary, ternary_dtm], [ternary_dtm, binary]):
+            with pytest.raises(InputMismatchError, match="input alphabet"):
+                solve_broadcast(dtms)
+            with pytest.raises(InputMismatchError, match="input alphabet"):
+                solve_broadcast_single_direction(dtms)
+            with pytest.raises(InputMismatchError, match="input alphabet"):
+                brute_broadcast(dtms, SearchBudget(grid_resolution=8))
+
+    def test_transmitters_with_different_output_alphabets(self, rng):
+        px = Distribution([0.5, 0.5])
+        dtms = [
+            build_dtm(instances.bsc(0.1), px),
+            build_dtm(instances.random_channel(rng, 2, 3), px),
+        ]
+        with pytest.raises(InputMismatchError, match="output alphabet"):
+            solve_mac_common(dtms)
+        with pytest.raises(InputMismatchError, match="output alphabet"):
+            mac_tensorization_check(dtms)
+
+
+class TestSingleDirectionReuse:
+    def test_passed_solution_gives_identical_result(self, rng, monkeypatch):
+        for nx in (4, 5, 6):
+            for k in (1, 3, 8):
+                dtms = _random_family(rng, nx, k)
+                sol = solve_broadcast(dtms)
+                fresh = solve_broadcast_single_direction(dtms)
+                with monkeypatch.context() as m:
+                    m.setattr("infocoupling.coupling.solve_broadcast", None)
+                    reused = solve_broadcast_single_direction(dtms, sol)
+                assert reused.value == fresh.value
+                assert np.array_equal(reused.psi, fresh.psi)
+                assert reused.optimality_gap == fresh.optimality_gap
+
+    def test_solution_for_other_receivers_rejected(self, rng):
+        dtms = _random_family(rng, 4, 3)
+        sol = solve_broadcast(dtms[:2])
+        with pytest.raises(InputMismatchError):
+            solve_broadcast_single_direction(dtms, sol)
