@@ -13,7 +13,6 @@ from .channel import (
     Spectrum,
     TopPairReport,
     build_dtm,
-    compute_spectrum,
     output_distribution,
     renyi_correlation,
     strong_dpi_coefficient,
@@ -72,7 +71,6 @@ from .prob import (
     mutual_information,
     to_weighted,
     weighted_inner,
-    weighted_norm,
 )
 from .tensor import (
     LiftedDtm,

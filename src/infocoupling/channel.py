@@ -13,11 +13,11 @@ vector ``sqrt(P_Y)``.  The rest, all at most 1, is the SVD of
 ``Q_Y^T B Q_X`` lifted by ``Q_X`` and ``Q_Y``, orthonormal bases of the
 valid planes orthogonal to those vectors.  It is computed once and cached.
 
-Sign and ordering conventions below the top triple (needed for
-bit-reproducible spectra): singular values descend; within a tie (values
-within ``TIE_ATOL``) the right vectors are ordered lexicographically;
-each right vector's first component larger than ``SIGN_ATOL`` in
-magnitude is made positive, with the left vector flipped along with it.
+Sign and ordering conventions below the top triple and for the lifts in
+``tensor`` (:func:`canonical_spectrum`): singular values descend; within
+a tie (values within ``TIE_ATOL``) the right vectors are ordered
+lexicographically; each right vector's first component larger than
+``SIGN_ATOL`` in magnitude is made positive, flipping its left vector.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .prob import Distribution, _freeze
 COLUMN_SUM_ATOL = 1e-12
 SIGN_ATOL = 1e-9
 TIE_ATOL = 1e-10
-LOSSLESS_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,48 +96,32 @@ class Spectrum:
         return self.singular_values.size
 
 
-def _canonical_sign(right: np.ndarray, left: np.ndarray):
-    """Make the first component of each right vector exceeding SIGN_ATOL
-    positive, flipping the paired left vector to preserve the product."""
-    for j in range(right.shape[1]):
-        col = right[:, j]
-        big = np.nonzero(np.abs(col) > SIGN_ATOL)[0]
-        if big.size and col[big[0]] < 0:
-            right[:, j] = -right[:, j]
-            left[:, j] = -left[:, j]
-    return right, left
+def canonical_sign(vectors: np.ndarray) -> np.ndarray:
+    """Per column of ``vectors``, the sign (+1 or -1) that makes its first
+    entry larger than ``SIGN_ATOL`` in magnitude positive; +1 for a column
+    without one."""
+    big = np.abs(vectors) > SIGN_ATOL
+    first = np.argmax(big, axis=0), np.arange(vectors.shape[1])
+    return np.where(big[first] & (vectors[first] < 0), -1.0, 1.0)
 
 
 def _canonical_order(s: np.ndarray, right: np.ndarray, left: np.ndarray):
-    """Stable descending order with lexicographic right-vector tie-break."""
-    order = list(range(s.size))
-    cols = [tuple(right[:, j]) for j in order]
-    order.sort(key=lambda j: -s[j])
-    # group genuine ties (within TIE_ATOL) and sort each group lexicographically
-    final: list[int] = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and abs(s[order[j + 1]] - s[order[i]]) <= TIE_ATOL:
-            j += 1
-        group = sorted(order[i : j + 1], key=lambda k: cols[k])
-        final.extend(group)
-        i = j + 1
-    idx = np.array(final, dtype=int)
+    """Stable descending order; a run of values within ``TIE_ATOL`` of its
+    first is a tie, ordered lexicographically by right vector."""
+    rank, lead = {}, None
+    for j in sorted(range(s.size), key=lambda j: -s[j]):
+        if lead is None or s[lead] - s[j] > TIE_ATOL:
+            lead = j
+        rank[j] = (-s[lead], tuple(right[:, j]))
+    idx = np.array(sorted(rank, key=rank.get), dtype=int)
     return s[idx], right[:, idx], left[:, idx]
 
 
-def compute_spectrum(matrix: np.ndarray) -> Spectrum:
-    """Deterministic full SVD under the package sign/ordering conventions.
-
-    A general matrix has no known singular pair, so a tie at the top
-    surfaces whichever basis of the tied subspace the SVD returns;
-    :func:`build_dtm` avoids that for coupling matrices by pinning the
-    analytic top pair and decomposing only the valid-plane block.
-    """
-    u, s, vt = np.linalg.svd(np.asarray(matrix, dtype=float), full_matrices=False)
-    right, left = _canonical_sign(vt.T.copy(), u.copy())
-    return Spectrum(*_canonical_order(s, right, left))
+def canonical_spectrum(s: np.ndarray, right: np.ndarray, left: np.ndarray):
+    """The singular system ``(s, right, left)``, vectors as columns, signed
+    and ordered by the package conventions."""
+    sign = canonical_sign(right)
+    return _canonical_order(s, right * sign, left * sign)
 
 
 def valid_plane_basis(px: Distribution) -> np.ndarray:
@@ -182,7 +165,8 @@ class Dtm:
 
 def build_dtm(w: ChannelMatrix, px: Distribution) -> Dtm:
     """Build the divergence transition matrix and its cached spectrum:
-    the exact top triple, then the SVD of ``Q_Y^T B Q_X`` lifted back.
+    the exact top triple, then the SVD of ``Q_Y^T B Q_X`` lifted back and
+    put in order by :func:`canonical_spectrum`.
 
     Requires a strictly positive operating point and a strictly positive
     output distribution (otherwise the output weighting is singular).
@@ -197,8 +181,7 @@ def build_dtm(w: ChannelMatrix, px: Distribution) -> Dtm:
     b = (w.entries * px.sqrt()[np.newaxis, :]) / py.sqrt()[:, np.newaxis]
     qx, qy = valid_plane_basis(px), valid_plane_basis(py)
     u, s, vt = np.linalg.svd(qy.T @ b @ qx, full_matrices=False)
-    right, left = _canonical_sign(qx @ vt.T, qy @ u)
-    s, right, left = _canonical_order(s, right, left)
+    s, right, left = canonical_spectrum(s, qx @ vt.T, qy @ u)
     spectrum = Spectrum(
         np.concatenate([[1.0], s]),
         np.column_stack([px.sqrt(), right]),

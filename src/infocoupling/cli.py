@@ -51,7 +51,7 @@ from .errors import (
 )
 from .layered import BlockCodeConfig, plan_ternary_two_layer, simulate_layered
 from .oracles import SearchBudget, ace_correlation, brute_broadcast, brute_p2p, s_ratio_search
-from .prob import Distribution
+from .prob import Distribution, require_nonnegative
 from .tensor import kron_pair_residual, lift_dtm, second_singular_of_power
 
 EXIT_OK = 0
@@ -72,35 +72,21 @@ def _as_rate(nats: float) -> dict:
     return {"nats": float(nats), "bits": float(nats) / LN2}
 
 
-def _jsonify(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
-
-
 def make_report(command: list[str], inputs: dict, results: dict, seeds=None) -> dict:
     return {
         "tool_version": __version__,
         "command": command,
-        "inputs": _jsonify(inputs),
-        "results": _jsonify(results),
-        "seeds": _jsonify(seeds if seeds is not None else {}),
+        "inputs": inputs,
+        "results": results,
+        "seeds": seeds if seeds is not None else {},
         "wall_time_s": 0.0,
     }
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """JSON text of a report; numpy arrays and scalars become lists and
+    Python numbers."""
+    return json.dumps(report, indent=2, sort_keys=True, default=lambda v: v.tolist())
 
 
 def load_report(text: str) -> dict:
@@ -164,6 +150,13 @@ def parse_channel_spec(path: str) -> dict:
     else:
         raise SpecError("spec needs 'channel' or 'channels'")
     return {"name": name, "kind": "channel", "input_dist": px, "channels": mats}
+
+
+def _epsilon(text: str) -> float:
+    try:
+        return require_nonnegative(float(text), "epsilon")
+    except ValueError as exc:  # not a number, or InvalidDistributionError
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _numeric(data, what: str) -> np.ndarray:
@@ -505,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_couple = sub.add_parser("couple", help="run a coupling solver")
     p_couple.add_argument("specs", nargs="+", help="channel spec JSON path(s)")
     p_couple.add_argument("--mode", choices=["p2p", "broadcast", "mac"], required=True)
-    p_couple.add_argument("--epsilon", type=float, default=1e-2)
+    p_couple.add_argument("--epsilon", type=_epsilon, default=1e-2)
     p_couple.add_argument(
         "--single-direction",
         action="store_true",

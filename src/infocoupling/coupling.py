@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .channel import SIGN_ATOL, TIE_ATOL, ChannelMatrix, Dtm, build_dtm, valid_plane_basis
+from .channel import ChannelMatrix, Dtm, build_dtm, canonical_sign, renyi_correlation, valid_plane_basis
 from .errors import (
     BudgetError,
     DegenerateOutputError,
@@ -52,6 +52,7 @@ from .prob import (
     WeightedVector,
     _freeze,
     kl_divergence,
+    require_nonnegative,
 )
 from .tensor import kron
 
@@ -84,6 +85,7 @@ class PerturbationEnsemble:
         directions = tuple(self.directions)
         if len(directions) != self.u_law.alphabet_size:
             raise DimensionMismatchError("one direction per auxiliary value required")
+        require_nonnegative(self.epsilon, "epsilon")
         ref = directions[0].reference
         for d in directions:
             if d.reference is not ref and not np.array_equal(
@@ -132,15 +134,19 @@ class PerturbationEnsemble:
         return (coords.T * self.u_law.probs) @ coords
 
 
+def _antipodal_ensemble(psis, mass, ref: Distribution, epsilon: float) -> PerturbationEnsemble:
+    """Each direction of ``psis``, normalized, and its negative, the pair
+    sharing its entry of ``mass`` (rescaled to sum to 1) equally."""
+    weights = np.repeat(np.asarray(mass, dtype=float) / 2.0, 2)
+    weights /= weights.sum()
+    units = [psi / np.linalg.norm(psi) for psi in psis]
+    directions = tuple(WeightedVector(s * u, ref) for u in units for s in (1.0, -1.0))
+    return PerturbationEnsemble(Distribution(weights), directions, epsilon)
+
+
 def antipodal_pair_ensemble(psi: np.ndarray, ref: Distribution, epsilon: float) -> PerturbationEnsemble:
     """Binary equiprobable ensemble along ``+psi`` and ``-psi``."""
-    psi = np.asarray(psi, dtype=float)
-    psi = psi / np.linalg.norm(psi)
-    return PerturbationEnsemble(
-        u_law=Distribution(np.array([0.5, 0.5])),
-        directions=(WeightedVector(psi, ref), WeightedVector(-psi, ref)),
-        epsilon=epsilon,
-    )
+    return _antipodal_ensemble([np.asarray(psi, dtype=float)], [1.0], ref, epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,32 +166,30 @@ def solve_p2p(dtm: Dtm, epsilon: float) -> P2PSolution:
     nats.  When the second singular value is tied the returned maximizer
     is one of many and the ambiguity flag is set.
     """
-    s = dtm.spectrum
-    if len(s) < 2:
-        raise DimensionMismatchError("alphabets too small for a coupling direction")
-    sigma1 = float(s.singular_values[1])
-    ambiguous = len(s) > 2 and sigma1 - float(s.singular_values[2]) <= TIE_ATOL
-    ensemble = antipodal_pair_ensemble(s.right_vectors[:, 1], dtm.input, epsilon)
-    rate = 0.5 * epsilon**2 * sigma1**2
-    return P2PSolution(ensemble=ensemble, rate=rate, sigma1=sigma1, ambiguous=ambiguous)
+    corr = renyi_correlation(dtm)
+    ensemble = antipodal_pair_ensemble(dtm.right_vector(1), dtm.input, epsilon)
+    rate = 0.5 * epsilon**2 * corr.rho**2
+    return P2PSolution(ensemble=ensemble, rate=rate, sigma1=corr.rho, ambiguous=corr.ambiguous)
 
 
-def _require_shared_input(dtms) -> Distribution:
-    if not dtms:
-        raise InputMismatchError("need at least one coupling matrix")
-    ref = dtms[0].input
-    for d in dtms[1:]:
-        if d.input.alphabet_size != ref.alphabet_size:
-            raise InputMismatchError("receivers do not share the input alphabet")
-        if float(np.max(np.abs(d.input.probs - ref.probs))) > SHARED_POINT_ATOL:
-            raise InputMismatchError("receivers do not share the input operating point")
+def _require_shared(dists, who: str, side: str) -> Distribution:
+    """The distribution all of ``dists`` share within ``SHARED_POINT_ATOL``;
+    the errors name the ``who`` holding them and their ``side``."""
+    if not dists:
+        raise InputMismatchError(f"no {who} given")
+    ref = dists[0]
+    for d in dists[1:]:
+        if d.alphabet_size != ref.alphabet_size:
+            raise InputMismatchError(f"{who} do not share the {side} alphabet")
+        if float(np.max(np.abs(d.probs - ref.probs))) > SHARED_POINT_ATOL:
+            raise InputMismatchError(f"{who} do not share the {side} distribution")
     return ref
 
 
 def _plane_forms(dtms):
     """Shared operating point, valid-plane basis ``Q``, and the stack of
     each receiver's quadratic form ``Q^T B_i^T B_i Q`` on that plane."""
-    px = _require_shared_input(dtms)
+    px = _require_shared([d.input for d in dtms], "receivers", "input")
     q = valid_plane_basis(px)
     forms = np.stack([q.T @ (d.matrix.T @ d.matrix) @ q for d in dtms])
     return px, q, 0.5 * (forms + forms.transpose(0, 2, 1))
@@ -312,20 +316,9 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     mu, phi = mu[keep], phi[:, keep]
     order = np.argsort(mu)[::-1]
     mu, phi = mu[order], phi[:, order]
-    weights = np.repeat(mu / 2.0, 2)
-    weights /= weights.sum()
-    directions = []
-    for j in range(mu.size):
-        psi = q @ phi[:, j]
-        psi /= np.linalg.norm(psi)
-        directions.append(WeightedVector(psi, px))
-        directions.append(WeightedVector(-psi, px))
-    ensemble = PerturbationEnsemble(
-        u_law=Distribution(weights), directions=tuple(directions), epsilon=epsilon
-    )
     return BroadcastSolution(
         value=primal,
-        ensemble=ensemble,
+        ensemble=_antipodal_ensemble([q @ c for c in phi.T], mu, px, epsilon),
         dual_weights=w_star,
         dual_value=dual,
         gap=abs(gap),
@@ -458,9 +451,7 @@ def solve_broadcast_single_direction(
         bound = sol.dual_value
     values, psis = _worst_values(forms, us), us @ q.T
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-    # each first entry above SIGN_ATOL in magnitude positive
-    first = np.argmax(np.abs(psis) > SIGN_ATOL, axis=1)
-    psis *= np.sign(psis[np.arange(len(psis)), first])[:, np.newaxis]
+    psis *= canonical_sign(psis.T)[:, np.newaxis]
     # symmetric receivers tie several directions; the lexicographically
     # largest psi, compared at 9 decimals so that roundoff cannot decide,
     # keeps the result independent of the receivers' order
@@ -472,28 +463,20 @@ def solve_broadcast_single_direction(
 
 @dataclass(frozen=True, eq=False)
 class DiagonalInstance:
-    """A family of diagonal quadratic forms, plus the orthogonal change of
-    basis that related the original singular systems (kept for
-    provenance; the solver uses the diagonals only)."""
+    """A family of diagonal quadratic forms ``thetas[i]``, all of one
+    non-zero length: the singular values of systems sharing one basis."""
 
     thetas: tuple
-    basis_change: np.ndarray | None = None
 
     def __post_init__(self):
         thetas = tuple(np.asarray(t, dtype=float) for t in self.thetas)
-        if not thetas:
-            raise DimensionMismatchError("need at least one diagonal system")
-        m = thetas[0].size
+        if not thetas or thetas[0].size == 0:
+            raise DimensionMismatchError("need at least one non-empty diagonal system")
         for t in thetas:
-            if t.ndim != 1 or t.size != m:
+            if t.ndim != 1 or t.size != thetas[0].size:
                 raise DimensionMismatchError("diagonal systems must share one length")
             if not np.all(np.isfinite(t)) or np.any(t < 0):
                 raise InfeasibleError("diagonal entries must be finite and non-negative")
-        if self.basis_change is not None:
-            phi = np.asarray(self.basis_change, dtype=float)
-            if float(np.max(np.abs(phi.T @ phi - np.eye(phi.shape[1])))) > 1e-10:
-                raise DimensionMismatchError("basis change must be orthogonal")
-            object.__setattr__(self, "basis_change", _freeze(phi))
         object.__setattr__(self, "thetas", tuple(_freeze(t) for t in thetas))
 
 
@@ -524,6 +507,8 @@ def diagonal_maxmin(inst: DiagonalInstance, target_levels=None) -> DiagonalMaxMi
             raise DimensionMismatchError(
                 "need one target level per system except the last"
             )
+        if not np.all(np.isfinite(levels)):
+            raise InfeasibleError("target levels must be finite")
         res = linprog(
             -squares[-1],
             A_eq=np.vstack([squares[:-1], np.ones((1, m))]),
@@ -616,26 +601,12 @@ class MacSolution:
         object.__setattr__(self, "private_sigmas", _freeze(self.private_sigmas))
 
     def blocks(self, sizes) -> list[np.ndarray]:
-        out = []
-        start = 0
-        for n in sizes:
-            out.append(self.stacked_vector[start : start + n])
-            start += n
-        return out
+        return _blocks(self.stacked_vector, sizes)
 
 
-def _require_shared_output(dtms) -> Distribution:
-    if not dtms:
-        raise InputMismatchError("need at least one transmitter")
-    ref = dtms[0].output
-    for d in dtms[1:]:
-        if d.output.alphabet_size != ref.alphabet_size:
-            raise InputMismatchError("transmitters do not share the output alphabet")
-        if float(np.max(np.abs(d.output.probs - ref.probs))) > SHARED_POINT_ATOL:
-            raise InputMismatchError(
-                "transmitters do not share the output distribution"
-            )
-    return ref
+def _blocks(vector: np.ndarray, sizes) -> list[np.ndarray]:
+    """``vector`` cut into consecutive blocks of the given sizes."""
+    return np.split(vector, np.cumsum(sizes)[:-1])
 
 
 def _common_pair(mats, dists):
@@ -647,10 +618,8 @@ def _common_pair(mats, dists):
     _, s, vt = np.linalg.svd(stacked, full_matrices=False)
     if s.size == 0:
         return 0.0, np.zeros(sum(q.shape[0] for q in qs))
-    cuts = np.cumsum([q.shape[1] for q in qs])[:-1]
-    psi = np.concatenate([q @ c for q, c in zip(qs, np.split(vt[0], cuts))])
-    # a unit vector always has an entry above SIGN_ATOL
-    return float(s[0]), psi * np.sign(psi[np.abs(psi) > SIGN_ATOL][0])
+    psi = np.concatenate([q @ c for q, c in zip(qs, _blocks(vt[0], [q.shape[1] for q in qs]))])
+    return float(s[0]), psi * canonical_sign(psi[:, np.newaxis])
 
 
 def solve_mac_common(dtms) -> MacSolution:
@@ -659,15 +628,15 @@ def solve_mac_common(dtms) -> MacSolution:
     Raises :class:`DegenerateOutputError` when no private coefficient
     exceeds ``MAC_PRIVATE_FLOOR``: the common one is then at most
     ``sqrt(k)`` times that, and the gain would be 0/0."""
-    _require_shared_output(dtms)
+    _require_shared([d.output for d in dtms], "transmitters", "output")
     private = np.array([d.second_singular_value for d in dtms])
     if float(np.max(private)) <= MAC_PRIVATE_FLOOR:
         raise DegenerateOutputError(
             f"no private coupling coefficient exceeds {MAC_PRIVATE_FLOOR}; the gain is 0/0"
         )
     sigma_common, psi = _common_pair([d.matrix for d in dtms], [d.input for d in dtms])
-    cuts = np.cumsum([d.input.alphabet_size for d in dtms])[:-1]
-    residuals = [float(b @ d.input.sqrt()) for b, d in zip(np.split(psi, cuts), dtms)]
+    blocks = _blocks(psi, [d.input.alphabet_size for d in dtms])
+    residuals = [float(b @ d.input.sqrt()) for b, d in zip(blocks, dtms)]
     gain_db = 10.0 * math.log10(sigma_common**2 / float(np.max(private) ** 2))
     return MacSolution(
         sigma_common=sigma_common,
@@ -685,7 +654,7 @@ def mac_tensorization_check(dtms) -> float:
     Kronecker squares on their valid planes and compares it with the
     one-letter coefficient; tensorization makes the difference vanish.
     """
-    _require_shared_output(dtms)
+    _require_shared([d.output for d in dtms], "transmitters", "output")
     one, _ = _common_pair([d.matrix for d in dtms], [d.input for d in dtms])
     two, _ = _common_pair(
         [kron(d.matrix, d.matrix) for d in dtms],
@@ -730,6 +699,8 @@ def superposition_information(base: Distribution, families) -> float:
     """
     law_list = [np.asarray(law, dtype=float) for law, _, _ in families]
     dir_list = [np.asarray(dirs, dtype=float) for _, dirs, _ in families]
+    if any(d.shape != (law.size, base.alphabet_size) for law, d in zip(law_list, dir_list)):
+        raise DimensionMismatchError("each family needs one direction per auxiliary value")
     eps_list = [float(eps) for _, _, eps in families]
     total = 0.0
     for combo in itertools.product(*(range(law.size) for law in law_list)):

@@ -125,8 +125,8 @@ def ace_correlation(joint: np.ndarray, tol: float = ACE_TOL, max_iterations: int
     iteration budget runs out first.
     """
     joint = np.asarray(joint, dtype=float)
-    if joint.ndim != 2:
-        raise DimensionMismatchError("joint must be a 2-D array over (x, y)")
+    if joint.ndim != 2 or not np.all(np.isfinite(joint)):
+        raise DimensionMismatchError("joint must be a finite 2-D array over (x, y)")
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     if np.any(px <= 0) or np.any(py <= 0):

@@ -97,6 +97,13 @@ class Distribution:
         return np.sqrt(self.probs)
 
 
+def require_nonnegative(value: float, what: str) -> float:
+    """``value``, a perturbation size, unless it is negative or not finite."""
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidDistributionError(f"{what} must be finite and non-negative, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Perturbation:
     """A distribution ``base`` plus a scaled zero-sum direction.
@@ -123,15 +130,8 @@ class Perturbation:
             raise InvalidDistributionError(
                 f"direction entries sum to {direction.sum()!r}, not 0"
             )
-        if self.scale < 0:
-            raise InvalidDistributionError("scale must be non-negative")
+        require_nonnegative(self.scale, "scale")
         object.__setattr__(self, "direction", _freeze(direction))
-
-    @property
-    def euclidean_norm(self) -> float:
-        """Plain (unweighted) norm of the direction; diagnostic only, the
-        weighted norm is the canonical size measure."""
-        return float(np.linalg.norm(self.direction))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +220,6 @@ def weighted_inner(j1: np.ndarray, j2: np.ndarray, ref: Distribution) -> float:
         raise DimensionMismatchError("direction shapes do not match the reference")
     ref.require_strictly_positive("weighting reference")
     return float(np.sum(j1 * j2 / ref.probs))
-
-
-def weighted_norm(j: np.ndarray, ref: Distribution) -> float:
-    return math.sqrt(weighted_inner(j, j, ref))
 
 
 def to_weighted(j: np.ndarray, ref: Distribution) -> WeightedVector:

@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .channel import Dtm, Spectrum, compute_spectrum
+from .channel import Dtm, Spectrum, canonical_spectrum
 from .errors import CapacityError, DimensionMismatchError
 
 KRON_SIZE_CAP = 4096
@@ -112,8 +112,11 @@ def kron_pair_residual(dtm: Dtm, i: int, j: int) -> float:
 
 
 def lifted_spectrum(dtm: Dtm, n: int, size_cap: int = KRON_SIZE_CAP) -> Spectrum:
-    lifted = lift_dtm(dtm, n, size_cap)
-    return compute_spectrum(lifted.matrix)
+    """Full SVD of the n-letter lift under the package conventions; the
+    top pair is not pinned as in ``build_dtm``, so a tie at the top
+    surfaces whichever basis of the tied subspace the SVD returns."""
+    u, s, vt = np.linalg.svd(lift_dtm(dtm, n, size_cap).matrix, full_matrices=False)
+    return Spectrum(*canonical_spectrum(s, vt.T, u))
 
 
 def second_singular_of_power(dtm: Dtm, n: int, size_cap: int = KRON_SIZE_CAP) -> float:

@@ -1,0 +1,91 @@
+"""Non-finite, negative and mis-shaped inputs raise the package's own
+errors at once, instead of a NaN result, a library error or a long
+iteration."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from infocoupling import (
+    DiagonalInstance,
+    Distribution,
+    Perturbation,
+    ace_correlation,
+    antipodal_pair_ensemble,
+    diagonal_maxmin,
+    solve_broadcast,
+    solve_p2p,
+    superposition_information,
+)
+from infocoupling.cli import EXIT_OK, EXIT_PARSE, main
+from infocoupling.errors import DimensionMismatchError, InfeasibleError, InvalidDistributionError
+
+BSC = str(Path(__file__).resolve().parents[1] / "specs" / "bsc01.json")
+BAD_SIZES = [math.nan, math.inf, -math.inf, -0.1]
+
+
+class TestEpsilon:
+    @pytest.mark.parametrize("eps", BAD_SIZES)
+    def test_solvers_reject(self, eps, ternary_dtm, windmill_dtms):
+        with pytest.raises(InvalidDistributionError, match="epsilon"):
+            solve_p2p(ternary_dtm, eps)
+        with pytest.raises(InvalidDistributionError, match="epsilon"):
+            solve_broadcast(windmill_dtms, epsilon=eps)
+        with pytest.raises(InvalidDistributionError, match="epsilon"):
+            antipodal_pair_ensemble(ternary_dtm.right_vector(1), ternary_dtm.input, eps)
+
+    @pytest.mark.parametrize("eps", BAD_SIZES)
+    def test_perturbation_scale_rejected(self, eps):
+        with pytest.raises(InvalidDistributionError, match="scale"):
+            Perturbation(Distribution([0.5, 0.5]), np.array([0.1, -0.1]), eps)
+
+    def test_zero_is_valid(self, ternary_dtm):
+        assert solve_p2p(ternary_dtm, 0.0).rate == 0.0
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-0.01", "x"])
+    def test_cli_parse_error(self, text, capsys):
+        argv = ["couple", "--mode", "p2p", BSC, "--epsilon", text]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE
+        assert "--epsilon" in capsys.readouterr().err
+
+    def test_cli_zero_accepted(self, capsys):
+        assert main(["couple", "--mode", "p2p", BSC, "--epsilon", "0"]) == EXIT_OK
+
+
+class TestDiagonalMaxMin:
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_non_finite_target_infeasible(self, level):
+        inst = DiagonalInstance((np.array([0.3, 0.9]), np.array([0.8, 0.2])))
+        with pytest.raises(InfeasibleError):
+            diagonal_maxmin(inst, target_levels=[level])
+
+    @pytest.mark.parametrize("thetas", [([],), ([], [])])
+    def test_empty_diagonals_rejected(self, thetas):
+        with pytest.raises(DimensionMismatchError):
+            DiagonalInstance(thetas)
+
+
+class TestOracleShapes:
+    @pytest.mark.parametrize(
+        "joint", [[[0.25, math.nan], [0.25, 0.25]], [[0.25, math.inf], [0.25, 0.25]], [[math.nan] * 2] * 2]
+    )
+    def test_ace_rejects_non_finite_joint(self, joint):
+        # a NaN joint used to run the whole iteration budget first
+        with pytest.raises(DimensionMismatchError):
+            ace_correlation(np.array(joint))
+
+    def test_superposition_short_direction_table(self):
+        base = Distribution([0.5, 0.5])
+        law = np.array([0.25, 0.25, 0.5])
+        with pytest.raises(DimensionMismatchError):
+            superposition_information(base, [(law, np.array([[0.1, -0.1], [-0.1, 0.1]]), 0.1)])
+
+    def test_superposition_wrong_alphabet(self):
+        base = Distribution([0.5, 0.5])
+        dirs = np.array([[0.1, -0.1, 0.0], [-0.1, 0.1, 0.0]])
+        with pytest.raises(DimensionMismatchError):
+            superposition_information(base, [(np.array([0.5, 0.5]), dirs, 0.1)])
