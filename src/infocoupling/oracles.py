@@ -7,17 +7,22 @@ ratios, an exact enumeration of the max-min's candidate points on the
 Gram disk for the broadcast solver, and an alternating
 conditional-expectation iteration for the maximal correlation.  None of
 these routines touch the singular-value or LP machinery they validate.
+
+The grid oracles score a whole grid in one array pass, every divergence
+summed over the symbol axis 0; the kernel search holds at most
+``SLAB_PAIRS`` (mixture weight, kernel) pairs at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, valid_plane_basis
+from .channel import ChannelMatrix, output_distribution, valid_plane_basis
 from .coupling import _circle_candidates, _plane_forms
 from .errors import (
     BudgetError,
@@ -25,10 +30,11 @@ from .errors import (
     ResolutionError,
     SingularWeightError,
 )
-from .prob import Distribution, _freeze
+from .prob import Distribution, _freeze, require_positive
 
 ACE_MAX_ITERATIONS = 100_000
 ACE_TOL = 1e-12
+SLAB_PAIRS = 2**16
 
 
 @dataclass(frozen=True)
@@ -40,16 +46,19 @@ class SearchBudget:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.grid_resolution < 8:
-            raise ResolutionError("grid resolution must be at least 8")
+        try:
+            ok = operator.index(self.grid_resolution) >= 8
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ResolutionError(f"grid resolution must be an integer >= 8, not {self.grid_resolution!r}")
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise KL divergence of a matrix of distributions against one
-    reference (strictly positive)."""
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL divergence along axis 0 of distributions against one strictly positive ``q``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p / q[np.newaxis, :]), 0.0)
-    return terms.sum(axis=1)
+        terms = np.where(p > 0, p * np.log(p / q.reshape(q.shape + (1,) * (p.ndim - 1))), 0.0)
+    return terms.sum(axis=0)
 
 
 def _direction_grid(dim: int, resolution: int) -> np.ndarray:
@@ -57,11 +66,10 @@ def _direction_grid(dim: int, resolution: int) -> np.ndarray:
     grid per dimension of freedom (antipodes are equivalent here)."""
     if dim == 1:
         return np.array([[1.0]])
+    theta = np.linspace(0.0, math.pi, resolution, endpoint=False)
     if dim == 2:
-        theta = np.linspace(0.0, math.pi, resolution, endpoint=False)
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
     if dim == 3:
-        theta = np.linspace(0.0, math.pi, resolution, endpoint=False)
         phi = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
         tt, pp = np.meshgrid(theta, phi, indexing="ij")
         return np.stack(
@@ -80,39 +88,34 @@ class BruteP2PResult:
         object.__setattr__(self, "best_direction", _freeze(self.best_direction))
 
 
-def brute_p2p(
-    w: ChannelMatrix, px: Distribution, epsilon: float, budget: SearchBudget
-) -> BruteP2PResult:
+def brute_p2p(w: ChannelMatrix, px: Distribution, epsilon: float, budget: SearchBudget) -> BruteP2PResult:
     """Grid maximization of the exact information ratio ``I(U;Y)/I(U;X)``
     over binary symmetric local ensembles ``P_X +- eps sqrt(P_X) psi``.
 
     The directions run over an exhaustive angular grid of the unit sphere
     orthogonal to ``sqrt(P_X)`` (input alphabets up to four symbols);
     both informations are exact divergence sums, so the result is an
-    independent reference for the contraction coefficient.
+    independent reference for the contraction coefficient.  The whole
+    grid is scored in one array pass; ``epsilon`` must be finite and
+    positive.
     """
     if w.input_size > 4:
         raise DimensionMismatchError("brute-force search supports at most 4 input symbols")
+    require_positive(epsilon, "epsilon")
     px.require_strictly_positive("operating point")
+    py = output_distribution(w, px).probs
     q = valid_plane_basis(px)
-    cands = _direction_grid(q.shape[1], budget.grid_resolution)
-    psis = cands @ q.T
-    j_dirs = psis * px.sqrt()[np.newaxis, :]
-    p_plus = px.probs[np.newaxis, :] + epsilon * j_dirs
-    p_minus = px.probs[np.newaxis, :] - epsilon * j_dirs
-    valid = (p_plus.min(axis=1) >= 0) & (p_minus.min(axis=1) >= 0)
+    psis = _direction_grid(q.shape[1], budget.grid_resolution) @ q.T
+    steps = epsilon * (psis * px.sqrt())
+    ends = px.probs + np.stack([steps, -steps])
+    valid = ends.min(axis=(0, 2)) >= 0
     if not np.any(valid):
         raise ResolutionError("no grid direction stays on the simplex at this scale")
-    py = w.entries @ px.probs
-    ix = 0.5 * (_kl_rows(p_plus, px.probs) + _kl_rows(p_minus, px.probs))
-    iy = 0.5 * (
-        _kl_rows(p_plus @ w.entries.T, py) + _kl_rows(p_minus @ w.entries.T, py)
-    )
+    ix = 0.5 * _kl(ends.T, px.probs).sum(axis=1)
+    iy = 0.5 * _kl((ends @ w.entries.T).T, py).sum(axis=1)
     ratio = np.where(valid & (ix > 0), iy / np.where(ix > 0, ix, 1.0), -np.inf)
     j = int(np.argmax(ratio))
-    return BruteP2PResult(
-        best_ratio=float(ratio[j]), best_direction=psis[j], rng_seed=budget.rng_seed
-    )
+    return BruteP2PResult(best_ratio=float(ratio[j]), best_direction=psis[j], rng_seed=budget.rng_seed)
 
 
 def ace_correlation(joint: np.ndarray, tol: float = ACE_TOL, max_iterations: int = ACE_MAX_ITERATIONS) -> float:
@@ -173,17 +176,11 @@ class SRatioResult:
 
 def _simplex_grid(n: int, divisions: int) -> np.ndarray:
     """All compositions of ``divisions`` into ``n`` parts, as points on
-    the simplex."""
-    pts = []
-    for combo in itertools.combinations(range(divisions + n - 1), n - 1):
-        prev = -1
-        parts = []
-        for c in combo:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(divisions + n - 2 - prev)
-        pts.append(parts)
-    return np.asarray(pts, dtype=float) / divisions
+    the simplex: one column per point, in stars-and-bars order."""
+    top = divisions + n - 1
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(top), n - 1)), dtype=int)
+    bars = bars.reshape(math.comb(top, n - 1), n - 1)
+    return np.ascontiguousarray(np.diff(bars, axis=1, prepend=-1, append=top).T - 1) / divisions
 
 
 def s_ratio_search(w: ChannelMatrix, px: Distribution, budget: SearchBudget) -> SRatioResult:
@@ -197,38 +194,32 @@ def s_ratio_search(w: ChannelMatrix, px: Distribution, budget: SearchBudget) -> 
     from the operating point may push it above.  The budget resolution
     governs the kernel grid; the cheap local sweep always runs at least
     at 360 angular points so the closure guarantee holds on its own.
+
+    All (mixture weight, kernel) pairs are screened in one array pass
+    over contiguous ``(symbol, weight, kernel)`` arrays, in slabs of at
+    most ``SLAB_PAIRS`` pairs (one weight when the kernel grid alone is
+    larger); only pairs whose second kernel stays on the simplex are scored.
     """
     if w.input_size > 3:
         raise DimensionMismatchError("kernel-grid search supports at most 3 input symbols")
     px.require_strictly_positive("operating point")
-    py = w.entries @ px.probs
+    py = output_distribution(w, px).probs
     kernels = _simplex_grid(w.input_size, budget.grid_resolution)
-    ky = kernels @ w.entries.T
-    dx0 = _kl_rows(kernels, px.probs)
-    dy0 = _kl_rows(ky, py)
+    dx0 = _kl(kernels, px.probs)
+    dy0 = _kl(w.entries @ kernels, py)
+    alphas = np.arange(1, budget.grid_resolution)[:, np.newaxis] / budget.grid_resolution
+    step = max(1, SLAB_PAIRS // kernels.shape[1])
     best = 0.0
-    for i in range(1, budget.grid_resolution):
-        alpha = i / budget.grid_resolution
-        q1 = (px.probs[np.newaxis, :] - alpha * kernels) / (1.0 - alpha)
-        ok = q1.min(axis=1) >= -1e-15
-        if not np.any(ok):
-            continue
-        q1 = np.clip(q1, 0.0, None)
-        ix = alpha * dx0 + (1 - alpha) * _kl_rows(q1, px.probs)
-        iy = alpha * dy0 + (1 - alpha) * _kl_rows(q1 @ w.entries.T, py)
-        ratio = np.where(ok & (ix > 1e-15), iy / np.where(ix > 0, ix, 1.0), -np.inf)
-        best = max(best, float(ratio.max()))
-    local_budget = SearchBudget(
-        grid_resolution=max(budget.grid_resolution, 360),
-        rng_seed=budget.rng_seed,
-    )
-    local = brute_p2p(w, px, 1e-3, local_budget).best_ratio
-    return SRatioResult(
-        lower_bound=max(best, local),
-        nonlocal_best=best,
-        local_best=local,
-        rng_seed=budget.rng_seed,
-    )
+    for alpha in np.split(alphas, range(step, alphas.shape[0], step)):
+        q1 = (px.probs[:, np.newaxis, np.newaxis] - alpha * kernels[:, np.newaxis, :]) / (1.0 - alpha)
+        i, k = np.nonzero(q1.min(axis=0) >= -1e-15)
+        a, q1 = alpha[i, 0], np.clip(q1[:, i, k], 0.0, None)
+        ix = a * dx0[k] + (1 - a) * _kl(q1, px.probs)
+        iy = a * dy0[k] + (1 - a) * _kl(np.tensordot(w.entries, q1, axes=1), py)
+        ratio = np.where(ix > 1e-15, iy / np.where(ix > 0, ix, 1.0), -np.inf)
+        best = max(best, float(ratio.max(initial=-np.inf)))
+    local = brute_p2p(w, px, 1e-3, SearchBudget(max(budget.grid_resolution, 360), budget.rng_seed)).best_ratio
+    return SRatioResult(max(best, local), best, local, budget.rng_seed)
 
 
 @dataclass(frozen=True, eq=False)

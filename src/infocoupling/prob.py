@@ -104,6 +104,13 @@ def require_nonnegative(value: float, what: str) -> float:
     return value
 
 
+def require_positive(value: float, what: str) -> float:
+    """``value``, a perturbation size, unless it is not finite and above 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidDistributionError(f"{what} must be finite and positive, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Perturbation:
     """A distribution ``base`` plus a scaled zero-sum direction.

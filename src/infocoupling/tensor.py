@@ -104,7 +104,7 @@ def kron_pair_residual(dtm: Dtm, i: int, j: int) -> float:
     s = dtm.spectrum
     if not (0 <= i < len(s) and 0 <= j < len(s)):
         raise DimensionMismatchError("singular index out of range")
-    lifted = lift_dtm(dtm, 2)
+    lifted = LiftedDtm(base=dtm, letters=2, materialized=None)
     v = np.kron(s.right_vectors[:, i], s.right_vectors[:, j])
     w = np.kron(s.left_vectors[:, i], s.left_vectors[:, j])
     sigma = float(s.singular_values[i] * s.singular_values[j])

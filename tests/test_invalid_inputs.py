@@ -12,15 +12,23 @@ from infocoupling import (
     DiagonalInstance,
     Distribution,
     Perturbation,
+    SearchBudget,
     ace_correlation,
     antipodal_pair_ensemble,
+    brute_p2p,
     diagonal_maxmin,
+    s_ratio_search,
     solve_broadcast,
     solve_p2p,
     superposition_information,
 )
 from infocoupling.cli import EXIT_OK, EXIT_PARSE, main
-from infocoupling.errors import DimensionMismatchError, InfeasibleError, InvalidDistributionError
+from infocoupling.errors import (
+    DimensionMismatchError,
+    InfeasibleError,
+    InvalidDistributionError,
+    ResolutionError,
+)
 
 BSC = str(Path(__file__).resolve().parents[1] / "specs" / "bsc01.json")
 BAD_SIZES = [math.nan, math.inf, -math.inf, -0.1]
@@ -54,6 +62,27 @@ class TestEpsilon:
 
     def test_cli_zero_accepted(self, capsys):
         assert main(["couple", "--mode", "p2p", BSC, "--epsilon", "0"]) == EXIT_OK
+
+
+class TestGridOracles:
+    @pytest.mark.parametrize("eps", BAD_SIZES + [0.0])
+    def test_brute_p2p_epsilon(self, eps, ternary_channel, ternary_point):
+        # zero gave best_ratio = -inf; NaN and inf read as a resolution problem
+        with pytest.raises(InvalidDistributionError, match="epsilon"):
+            brute_p2p(ternary_channel, ternary_point, eps, SearchBudget(grid_resolution=16))
+
+    @pytest.mark.parametrize("point", [[0.5, 0.5], [0.25] * 4])
+    def test_operating_point_size_mismatch(self, point, ternary_channel):
+        px = Distribution(point)
+        with pytest.raises(DimensionMismatchError):
+            brute_p2p(ternary_channel, px, 1e-3, SearchBudget(grid_resolution=16))
+        with pytest.raises(DimensionMismatchError):
+            s_ratio_search(ternary_channel, px, SearchBudget(grid_resolution=16))
+
+    @pytest.mark.parametrize("resolution", [24.5, math.nan, math.inf, "24", None])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ResolutionError):
+            SearchBudget(grid_resolution=resolution)
 
 
 class TestDiagonalMaxMin:

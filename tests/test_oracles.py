@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from infocoupling import (
     valid_plane_basis,
 )
 from infocoupling.errors import DimensionMismatchError, ResolutionError, SingularWeightError
+from infocoupling.oracles import SLAB_PAIRS, _direction_grid
 
 
 def dtm_from_joint(joint):
@@ -24,10 +29,84 @@ def dtm_from_joint(joint):
     return build_dtm(w, px)
 
 
+def _kl_rows(p, q):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log(p / q[np.newaxis, :]), 0.0)
+    return terms.sum(axis=1)
+
+
+def _reference_brute_p2p(w, px, epsilon, resolution):
+    """``brute_p2p`` with one row per direction and row-wise divergences;
+    returns ``(best_ratio, best_direction)``."""
+    q = valid_plane_basis(px)
+    psis = _direction_grid(q.shape[1], resolution) @ q.T
+    j_dirs = psis * px.sqrt()[np.newaxis, :]
+    p_plus = px.probs[np.newaxis, :] + epsilon * j_dirs
+    p_minus = px.probs[np.newaxis, :] - epsilon * j_dirs
+    valid = (p_plus.min(axis=1) >= 0) & (p_minus.min(axis=1) >= 0)
+    py = w.entries @ px.probs
+    ix = 0.5 * (_kl_rows(p_plus, px.probs) + _kl_rows(p_minus, px.probs))
+    iy = 0.5 * (_kl_rows(p_plus @ w.entries.T, py) + _kl_rows(p_minus @ w.entries.T, py))
+    ratio = np.where(valid & (ix > 0), iy / np.where(ix > 0, ix, 1.0), -np.inf)
+    j = int(np.argmax(ratio))
+    return float(ratio[j]), psis[j]
+
+
+def _reference_s_ratio(w, px, resolution):
+    """``s_ratio_search`` as a loop over the mixture weights with one row
+    per kernel; returns ``(lower_bound, nonlocal_best, local_best)``."""
+    n = w.input_size
+    pts = []
+    for combo in itertools.combinations(range(resolution + n - 1), n - 1):
+        prev = -1
+        parts = []
+        for c in combo:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(resolution + n - 2 - prev)
+        pts.append(parts)
+    kernels = np.asarray(pts, dtype=float) / resolution
+    py = w.entries @ px.probs
+    dx0 = _kl_rows(kernels, px.probs)
+    dy0 = _kl_rows(kernels @ w.entries.T, py)
+    best = 0.0
+    for i in range(1, resolution):
+        alpha = i / resolution
+        q1 = (px.probs[np.newaxis, :] - alpha * kernels) / (1.0 - alpha)
+        ok = q1.min(axis=1) >= -1e-15
+        if not np.any(ok):
+            continue
+        q1 = np.clip(q1, 0.0, None)
+        ix = alpha * dx0 + (1 - alpha) * _kl_rows(q1, px.probs)
+        iy = alpha * dy0 + (1 - alpha) * _kl_rows(q1 @ w.entries.T, py)
+        ratio = np.where(ok & (ix > 1e-15), iy / np.where(ix > 0, ix, 1.0), -np.inf)
+        best = max(best, float(ratio.max()))
+    local = _reference_brute_p2p(w, px, 1e-3, max(resolution, 360))[0]
+    return max(best, local), best, local
+
+
+def _s_ratio_fields(res):
+    return res.lower_bound, res.nonlocal_best, res.local_best
+
+
+def _sparse_family(rng, n):
+    """A random operating point and channel with about a third of its
+    entries zero (erasure-like columns included)."""
+    ny = int(rng.integers(1, 6))
+    cols = rng.random((ny, n)) * (rng.random((ny, n)) > 0.35)
+    cols[:, cols.sum(axis=0) == 0] = 1.0
+    return ChannelMatrix(cols / cols.sum(axis=0)), instances.random_distribution(rng, n)
+
+
 class TestSearchBudget:
     def test_resolution_floor(self):
         with pytest.raises(ResolutionError):
             SearchBudget(grid_resolution=4)
+
+    def test_numpy_integer_resolution(self, ternary_channel, ternary_point):
+        a = s_ratio_search(ternary_channel, ternary_point, SearchBudget(grid_resolution=np.int64(16)))
+        b = s_ratio_search(ternary_channel, ternary_point, SearchBudget(grid_resolution=16))
+        assert a == b
 
 
 class TestBruteP2P:
@@ -71,6 +150,17 @@ class TestBruteP2P:
         px = instances.random_distribution(rng, 5)
         with pytest.raises(DimensionMismatchError):
             brute_p2p(w, px, 1e-3, SearchBudget(grid_resolution=16, rng_seed=1))
+
+    @pytest.mark.parametrize("n, resolution", [(2, 8), (2, 90), (3, 24), (3, 180), (4, 8), (4, 32)])
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.1])
+    def test_matches_row_reference_bit_for_bit(self, n, resolution, epsilon):
+        rng = np.random.default_rng(10 * n + resolution)
+        for _ in range(5):
+            w, px = _sparse_family(rng, n)
+            got = brute_p2p(w, px, epsilon, SearchBudget(grid_resolution=resolution, rng_seed=1))
+            ratio, direction = _reference_brute_p2p(w, px, epsilon, resolution)
+            assert got.best_ratio == ratio
+            assert np.array_equal(got.best_direction, direction)
 
     def test_deterministic(self, ternary_channel, ternary_point):
         budget = SearchBudget(grid_resolution=90, rng_seed=5)
@@ -128,6 +218,44 @@ class TestSRatioSearch:
             w = instances.random_channel(rng, nx, ny)
             res = s_ratio_search(w, px, budget)
             assert res.lower_bound >= strong_dpi_coefficient(build_dtm(w, px)) - 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("resolution", [8, 13, 24, 40, 64])
+    def test_matches_loop_bit_for_bit(self, n, resolution):
+        rng = np.random.default_rng(100 * n + resolution)
+        for _ in range(6):
+            w, px = _sparse_family(rng, n)
+            got = s_ratio_search(w, px, SearchBudget(grid_resolution=resolution, rng_seed=2))
+            assert _s_ratio_fields(got) == _reference_s_ratio(w, px, resolution)
+
+    @pytest.mark.parametrize(
+        "entries, point",
+        [
+            ([[0.8, 0.0], [0.0, 0.8], [0.2, 0.2]], [0.5, 0.5]),
+            ([[0.7, 0.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 0.7], [0.3, 0.3, 0.3]], [0.2, 0.3, 0.5]),
+        ],
+    )
+    def test_erasure_matches_loop(self, entries, point):
+        w, px = ChannelMatrix(np.array(entries)), Distribution(point)
+        got = s_ratio_search(w, px, SearchBudget(grid_resolution=32, rng_seed=2))
+        assert _s_ratio_fields(got) == _reference_s_ratio(w, px, 32)
+
+    def test_several_slabs_match_loop(self):
+        resolution = 160
+        assert SLAB_PAIRS // math.comb(resolution + 2, 2) < resolution - 1  # weights per slab
+        w, px = _sparse_family(np.random.default_rng(160), 3)
+        got = s_ratio_search(w, px, SearchBudget(grid_resolution=resolution, rng_seed=2))
+        assert _s_ratio_fields(got) == _reference_s_ratio(w, px, resolution)
+
+    def test_peak_memory_stays_flat(self, ternary_channel, ternary_point):
+        # 199 weights x 20,301 kernels: one unsliced pass would need hundreds of MB
+        tracemalloc.start()
+        try:
+            s_ratio_search(ternary_channel, ternary_point, SearchBudget(grid_resolution=200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_erasure_like_instance_reported(self):
         # no strictness assertion; just exercises the report fields

@@ -11,6 +11,7 @@ from infocoupling import (
     product_form_projector,
     second_singular_of_power,
 )
+from infocoupling import tensor
 from infocoupling.errors import CapacityError
 
 
@@ -63,6 +64,15 @@ class TestLiftedPairs:
                 for j in range(m):
                     worst = max(worst, kron_pair_residual(dtm, i, j))
         assert worst <= 1e-9
+
+    def test_residual_never_builds_the_lift(self, ternary_dtm, monkeypatch):
+        before = kron_pair_residual(ternary_dtm, 1, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Kronecker matrix was built")
+
+        monkeypatch.setattr(tensor, "kron_power", refuse)
+        assert kron_pair_residual(ternary_dtm, 1, 2) == before
 
     def test_product_multiset(self, rng):
         for _ in range(20):
