@@ -30,6 +30,7 @@ from .errors import DegenerateOutputError, DimensionMismatchError
 from .prob import Distribution, _freeze
 
 COLUMN_SUM_ATOL = 1e-12
+UNIT_COLUMN_ATOL = 1e-9
 SIGN_ATOL = 1e-9
 TIE_ATOL = 1e-10
 
@@ -63,6 +64,16 @@ class ChannelMatrix:
     @property
     def output_size(self) -> int:
         return self.entries.shape[0]
+
+
+def unit_columns(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` with each column (the slices along axis 0) divided by its
+    sum, once every sum is within ``UNIT_COLUMN_ATOL`` of 1: the slack
+    that decimal serialization of a channel is allowed."""
+    sums = arr.sum(axis=0)
+    if float(np.max(np.abs(sums - 1.0))) > UNIT_COLUMN_ATOL:
+        raise DimensionMismatchError(f"{what} columns must sum to 1 (within {UNIT_COLUMN_ATOL:g})")
+    return arr / sums
 
 
 def output_distribution(w: ChannelMatrix, px: Distribution) -> Distribution:
@@ -141,7 +152,6 @@ class Dtm:
     matrix: np.ndarray
     input: Distribution
     output: Distribution
-    channel: ChannelMatrix
     spectrum: Spectrum
 
     def __post_init__(self):
@@ -187,7 +197,7 @@ def build_dtm(w: ChannelMatrix, px: Distribution) -> Dtm:
         np.column_stack([px.sqrt(), right]),
         np.column_stack([py.sqrt(), left]),
     )
-    return Dtm(b, px, py, w, spectrum)
+    return Dtm(b, px, py, spectrum)
 
 
 @dataclass(frozen=True)

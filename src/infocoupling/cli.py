@@ -29,6 +29,7 @@ from .channel import (
     build_dtm,
     renyi_correlation,
     strong_dpi_coefficient,
+    unit_columns,
     verify_top_singular,
 )
 from .coupling import (
@@ -61,7 +62,6 @@ EXIT_DEGENERATE = 3
 EXIT_CONSTRAINT = 4
 
 LN2 = math.log(2.0)
-PARSE_COLUMN_ATOL = 1e-9
 
 
 class SpecError(ValueError):
@@ -113,10 +113,9 @@ def parse_channel_spec(path: str) -> dict:
 
     Returns a dict with ``name`` plus either ``channels`` (one or more
     column-stochastic matrices sharing ``input_dist``) or the MAC fields
-    ``transmitters`` and ``joint``.  Channel and joint columns must sum
-    to 1 within ``PARSE_COLUMN_ATOL`` (decimal serialization is allowed
-    that much slack) and are then divided by their sums, so everything
-    downstream sees columns stochastic to rounding.
+    ``transmitters`` and ``joint``.  Channel and joint columns go through
+    :func:`~infocoupling.channel.unit_columns`, so everything downstream
+    sees columns stochastic to rounding.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -136,7 +135,10 @@ def parse_channel_spec(path: str) -> dict:
         if flat.size == 0 or flat.size % block != 0:
             raise SpecError("joint_channel length is not a positive multiple of the input sizes")
         ny = flat.size // block
-        joint = _unit_columns(flat.reshape((ny, *sizes)), "joint channel")
+        try:
+            joint = unit_columns(flat.reshape((ny, *sizes)), "joint channel")
+        except DimensionMismatchError as exc:
+            raise SpecError(str(exc)) from exc
         return {"name": name, "kind": "mac", "transmitters": dists, "joint": joint}
     if "input_dist" not in raw:
         raise SpecError("spec needs 'input_dist'")
@@ -171,15 +173,6 @@ def _numeric(data, what: str) -> np.ndarray:
     return arr
 
 
-def _unit_columns(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr`` with each column (the slices along axis 0) divided by its
-    sum, once every sum is within ``PARSE_COLUMN_ATOL`` of 1."""
-    sums = arr.sum(axis=0)
-    if float(np.max(np.abs(sums - 1.0))) > PARSE_COLUMN_ATOL:
-        raise SpecError(f"{what} columns must sum to 1 (within 1e-9)")
-    return arr / sums
-
-
 def _parse_distribution(data) -> Distribution:
     try:
         return Distribution(_numeric(data, "input_dist"))
@@ -194,7 +187,7 @@ def _parse_channel(data, nx: int) -> ChannelMatrix:
             f"channel must be 2-D with {nx} columns (one per input symbol)"
         )
     try:
-        return ChannelMatrix(_unit_columns(arr, "channel"))
+        return ChannelMatrix(unit_columns(arr, "channel"))
     except DimensionMismatchError as exc:
         raise SpecError(f"bad channel matrix: {exc}") from exc
 

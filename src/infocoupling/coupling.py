@@ -38,20 +38,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .channel import ChannelMatrix, Dtm, build_dtm, canonical_sign, renyi_correlation, valid_plane_basis
+from .channel import (
+    ChannelMatrix, Dtm, build_dtm, canonical_sign, renyi_correlation, unit_columns, valid_plane_basis,
+)
 from .errors import (
     BudgetError,
     DegenerateOutputError,
     DimensionMismatchError,
     InfeasibleError,
     InputMismatchError,
+    InvalidDistributionError,
 )
 from .prob import (
     ConditionalFamily,
     Distribution,
     WeightedVector,
     _freeze,
-    kl_divergence,
+    mutual_information,
     require_nonnegative,
 )
 from .tensor import kron
@@ -541,17 +544,14 @@ def mac_marginal_channels(joint: np.ndarray, input_dists) -> tuple[list[ChannelM
     ``joint[y, x_1, ..., x_k]`` is the conditional law of the output;
     transmitter ``i``'s effective channel averages the joint over every
     other transmitter's input distribution, and all of them share the
-    output distribution at the operating point.  Columns summing to 1
-    within 1e-9 are rescaled to sum to 1 exactly.
+    output distribution at the operating point.  Columns are rescaled by
+    :func:`~infocoupling.channel.unit_columns`.
     """
     joint = np.asarray(joint, dtype=float)
     k = joint.ndim - 1
     if k < 1 or len(input_dists) != k:
         raise DimensionMismatchError("one input distribution per transmitter required")
-    col_sums = joint.sum(axis=0)
-    if float(np.max(np.abs(col_sums - 1.0))) > 1e-9:
-        raise DimensionMismatchError("joint channel columns must sum to 1")
-    joint = joint / col_sums
+    joint = unit_columns(joint, "joint channel")
     channels = []
     for i in range(k):
         tmp = joint
@@ -599,9 +599,6 @@ class MacSolution:
             _freeze(self.block_orthogonality_residuals),
         )
         object.__setattr__(self, "private_sigmas", _freeze(self.private_sigmas))
-
-    def blocks(self, sizes) -> list[np.ndarray]:
-        return _blocks(self.stacked_vector, sizes)
 
 
 def _blocks(vector: np.ndarray, sizes) -> list[np.ndarray]:
@@ -673,16 +670,18 @@ def split_rate_region(dtm1: Dtm, dtm2: Dtm, splits) -> list[tuple[float, float, 
 
     Each split ``(e0sq, e1sq, e2sq)`` budgets squared perturbation sizes
     for the common and private messages; the rates in nats are half the
-    budget times the respective coupling coefficients.
+    budget times the respective coupling coefficients.  A component that
+    is negative or not finite raises :class:`InputMismatchError`.
     """
     lam = solve_broadcast([dtm1, dtm2]).value
     s1 = dtm1.second_singular_value**2
     s2 = dtm2.second_singular_value**2
     out = []
     for split in splits:
-        e0, e1, e2 = (float(v) for v in split)
-        if e0 < 0 or e1 < 0 or e2 < 0:
-            raise InputMismatchError("split components must be non-negative")
+        try:
+            e0, e1, e2 = (require_nonnegative(float(v), "split component") for v in split)
+        except InvalidDistributionError as exc:
+            raise InputMismatchError(str(exc)) from exc
         out.append((0.5 * e0 * lam, 0.5 * e1 * s1, 0.5 * e2 * s2))
     return out
 
@@ -691,25 +690,21 @@ def superposition_information(base: Distribution, families) -> float:
     """Exact input-side information of independently superposed families.
 
     ``families`` is a sequence of ``(u_law, directions, epsilon)``
-    triples; each direction set is unweighted (per-symbol deltas), one
-    row per auxiliary value, zero-mean under its law.  The superposed
-    conditional for a joint value adds every family's scaled direction to
-    the base, and the mixture over all joint values is exactly the base,
-    so the mutual information is the weighted divergence sum.
+    triples; each law must pass as a :class:`Distribution`, each direction
+    set is unweighted (per-symbol deltas), one row per auxiliary value,
+    zero-mean under its law.  The superposed conditional for a joint value adds
+    every family's scaled direction to the base, and the mixture over all
+    joint values is exactly the base, so the answer is the superposed
+    family's mutual information against the base.
     """
-    law_list = [np.asarray(law, dtype=float) for law, _, _ in families]
-    dir_list = [np.asarray(dirs, dtype=float) for _, dirs, _ in families]
-    if any(d.shape != (law.size, base.alphabet_size) for law, d in zip(law_list, dir_list)):
-        raise DimensionMismatchError("each family needs one direction per auxiliary value")
-    eps_list = [float(eps) for _, _, eps in families]
-    total = 0.0
-    for combo in itertools.product(*(range(law.size) for law in law_list)):
-        weight = 1.0
-        point = base.probs.copy()
-        for law, dirs, eps, u in zip(law_list, dir_list, eps_list, combo):
-            weight *= law[u]
-            point = point + eps * dirs[u]
-        if weight == 0.0:
-            continue
-        total += weight * kl_divergence(Distribution(point), base)
-    return total
+    weights, points = np.ones(()), base.probs
+    for law, dirs, eps in families:
+        law, dirs = Distribution(law).probs, np.asarray(dirs, dtype=float)
+        if dirs.shape != (law.size, base.alphabet_size):
+            raise DimensionMismatchError("each family needs one direction per auxiliary value")
+        weights = np.multiply.outer(weights, law)
+        points = points[..., np.newaxis, :] + float(eps) * dirs
+    weights, points = weights.ravel(), points.reshape(-1, base.alphabet_size)
+    keep = weights > 0
+    fam = ConditionalFamily(Distribution(weights[keep]), tuple(Distribution(p) for p in points[keep]))
+    return mutual_information(fam, base)

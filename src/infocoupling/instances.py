@@ -9,6 +9,10 @@ from .channel import ChannelMatrix
 from .errors import RegimeError
 from .prob import Distribution
 
+DISTRIBUTION_FLOOR = 0.05
+CHANNEL_FLOOR = 0.02
+JOINT_FLOOR = 0.01
+
 
 def identity_channel(n: int) -> ChannelMatrix:
     return ChannelMatrix(np.eye(n))
@@ -85,17 +89,17 @@ def binary_adder_inputs() -> list[Distribution]:
     return [uniform_distribution(2), uniform_distribution(2)]
 
 
-def random_distribution(rng: np.random.Generator, n: int, floor: float = 0.05) -> Distribution:
+def random_distribution(rng: np.random.Generator, n: int) -> Distribution:
     """Strictly positive random point on the simplex with a mass floor."""
     raw = rng.dirichlet(np.ones(n))
-    probs = (raw + floor) / (1 + n * floor)
+    probs = (raw + DISTRIBUTION_FLOOR) / (1 + n * DISTRIBUTION_FLOOR)
     return Distribution(probs)
 
 
-def random_channel(rng: np.random.Generator, nx: int, ny: int, floor: float = 0.02) -> ChannelMatrix:
+def random_channel(rng: np.random.Generator, nx: int, ny: int) -> ChannelMatrix:
     """Random column-stochastic channel with entries bounded away from zero."""
     cols = rng.dirichlet(np.ones(ny), size=nx)  # one row per input symbol
-    cols = (cols + floor) / (1 + ny * floor)
+    cols = (cols + CHANNEL_FLOOR) / (1 + ny * CHANNEL_FLOOR)
     return ChannelMatrix(cols.T)
 
 
@@ -117,11 +121,11 @@ def random_unit_direction(rng: np.random.Generator, base: Distribution) -> np.nd
     return raw / norm
 
 
-def random_joint(rng: np.random.Generator, nx: int, ny: int, floor: float = 0.01) -> np.ndarray:
+def random_joint(rng: np.random.Generator, nx: int, ny: int) -> np.ndarray:
     """Strictly positive random joint distribution over a product alphabet,
     indexed ``[x, y]``."""
     raw = rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)
-    return (raw + floor) / (1 + nx * ny * floor)
+    return (raw + JOINT_FLOOR) / (1 + nx * ny * JOINT_FLOOR)
 
 
 def joint_from_channel(w: ChannelMatrix, px: Distribution) -> np.ndarray:

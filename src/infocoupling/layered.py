@@ -31,9 +31,7 @@ from .errors import (
     RegimeError,
 )
 from .instances import nested_ternary_channel, nested_ternary_operating_point
-from .prob import Distribution, _freeze
-
-RATE_ATOL = 1e-12
+from .prob import Distribution, _freeze, is_count, require_nonnegative
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +74,9 @@ def greedy_layer(
     carry no mass elsewhere; the channel is restricted to the support
     columns and the reduced coupling matrix built there.  Returns the
     second right singular vector translated back to an unweighted
-    direction on the full alphabet.
+    direction on the full alphabet.  ``epsilon`` must be finite and non-negative.
     """
+    require_nonnegative(epsilon, "epsilon")
     if support is None:
         support = tuple(range(w.input_size))
     support = tuple(sorted(int(i) for i in support))
@@ -107,7 +106,7 @@ def greedy_layer(
 
 @dataclass(frozen=True, eq=False)
 class LayerPlan:
-    """An ordered stack of layers with occupancy-weighted total rate.
+    """An ordered stack of layers; ``total_rate`` weighs their rates by occupancy.
 
     ``occupancies[l]`` is the fraction of the symbol block layer ``l``
     modulates; ``branch_bits[l]`` records which bit of layer ``l-1`` the
@@ -118,7 +117,6 @@ class LayerPlan:
     layers: tuple
     occupancies: tuple
     branch_bits: tuple
-    total_rate: float
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -136,9 +134,10 @@ class LayerPlan:
             raise ConfigurationError(
                 f"layer operating points do not replay (residual {err!r})"
             )
-        stated = sum(l.rate * o for l, o in zip(layers, self.occupancies))
-        if abs(stated - self.total_rate) > RATE_ATOL:
-            raise ConfigurationError("total rate does not match the layer rates")
+
+    @property
+    def total_rate(self) -> float:
+        return sum(l.rate * o for l, o in zip(self.layers, self.occupancies))
 
     def replay_residual(self) -> float:
         """Worst deviation between a layer's operating point and the
@@ -154,9 +153,7 @@ class LayerPlan:
 
 
 def single_layer_plan(layer: LayerRecord) -> LayerPlan:
-    return LayerPlan(
-        layers=(layer,), occupancies=(1.0,), branch_bits=(), total_rate=layer.rate
-    )
+    return LayerPlan(layers=(layer,), occupancies=(1.0,), branch_bits=())
 
 
 def plan_ternary_two_layer(eta: float, gamma: float) -> LayerPlan:
@@ -178,13 +175,7 @@ def plan_ternary_two_layer(eta: float, gamma: float) -> LayerPlan:
     layer1 = greedy_layer(w, op1, 1.0)
     edge = layer1.conditional(1)
     layer2 = greedy_layer(w, edge, 1.0, support=(1, 2))
-    total = layer1.rate + 0.5 * layer2.rate
-    return LayerPlan(
-        layers=(layer1, layer2),
-        occupancies=(1.0, 0.5),
-        branch_bits=(1,),
-        total_rate=total,
-    )
+    return LayerPlan(layers=(layer1, layer2), occupancies=(1.0, 0.5), branch_bits=(1,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +184,8 @@ class BlockCodeConfig:
 
     ``n1`` symbols per layer-one sub-block, ``k1`` sub-blocks; when a
     second layer is simulated each continuing sub-block splits into
-    ``k2`` sub-blocks of ``n2`` symbols with ``n2 * k2 == n1``.
+    ``k2`` sub-blocks of ``n2`` symbols with ``n2 * k2 == n1``.  Sizes and
+    ``trials`` are positive integers (numpy integers included).
     """
 
     n1: int
@@ -204,15 +196,13 @@ class BlockCodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n1 < 1 or self.k1 < 1 or self.trials < 1:
-            raise ConfigurationError("block sizes and trials must be positive")
         if (self.n2 is None) != (self.k2 is None):
             raise ConfigurationError("n2 and k2 must be given together")
-        if self.n2 is not None:
-            if self.n2 < 1 or self.k2 < 1:
-                raise ConfigurationError("block sizes must be positive")
-            if self.n2 * self.k2 != self.n1:
-                raise ConfigurationError("two-layer plans require n2 * k2 == n1")
+        sizes = (self.n1, self.k1, self.trials) + (() if self.n2 is None else (self.n2, self.k2))
+        if not all(is_count(v, 1) for v in sizes):
+            raise ConfigurationError(f"block sizes and trials must be positive integers, not {sizes!r}")
+        if self.n2 is not None and self.n2 * self.k2 != self.n1:
+            raise ConfigurationError("two-layer plans require n2 * k2 == n1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,8 @@ conditional-expectation iteration for the maximal correlation.  None of
 these routines touch the singular-value or LP machinery they validate.
 
 The grid oracles score a whole grid in one array pass, every divergence
-summed over the symbol axis 0; the kernel search holds at most
+taken by the package's one divergence kernel (``prob._kl``) along the
+symbol axis 0; the kernel search holds at most
 ``SLAB_PAIRS`` (mixture weight, kernel) pairs at a time.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import (
     ResolutionError,
     SingularWeightError,
 )
-from .prob import Distribution, _freeze, require_positive
+from .prob import Distribution, _freeze, _kl, is_count, require_positive
 
 ACE_MAX_ITERATIONS = 100_000
 ACE_TOL = 1e-12
@@ -46,24 +46,15 @@ class SearchBudget:
     rng_seed: int = 0
 
     def __post_init__(self):
-        try:
-            ok = operator.index(self.grid_resolution) >= 8
-        except TypeError:
-            ok = False
-        if not ok:
+        if not is_count(self.grid_resolution, 8):
             raise ResolutionError(f"grid resolution must be an integer >= 8, not {self.grid_resolution!r}")
-
-
-def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL divergence along axis 0 of distributions against one strictly positive ``q``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p / q.reshape(q.shape + (1,) * (p.ndim - 1))), 0.0)
-    return terms.sum(axis=0)
 
 
 def _direction_grid(dim: int, resolution: int) -> np.ndarray:
     """Unit vectors covering the sphere in ``dim`` dimensions, one angular
     grid per dimension of freedom (antipodes are equivalent here)."""
+    if dim == 0:
+        raise DimensionMismatchError("a one-symbol alphabet has no perturbation direction")
     if dim == 1:
         return np.array([[1.0]])
     theta = np.linspace(0.0, math.pi, resolution, endpoint=False)
@@ -118,14 +109,14 @@ def brute_p2p(w: ChannelMatrix, px: Distribution, epsilon: float, budget: Search
     return BruteP2PResult(best_ratio=float(ratio[j]), best_direction=psis[j], rng_seed=budget.rng_seed)
 
 
-def ace_correlation(joint: np.ndarray, tol: float = ACE_TOL, max_iterations: int = ACE_MAX_ITERATIONS) -> float:
+def ace_correlation(joint: np.ndarray) -> float:
     """Maximal correlation by alternating conditional expectations.
 
     Power iteration on zero-mean functions: condition on one variable,
     recenter, condition back, renormalize; the correlation estimates
     increase to the maximal correlation.  Stops when the estimate moves
-    by less than ``tol`` (relative); raises :class:`BudgetError` if the
-    iteration budget runs out first.
+    by less than ``ACE_TOL`` (relative); raises :class:`BudgetError` if
+    ``ACE_MAX_ITERATIONS`` run out first.
     """
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != 2 or not np.all(np.isfinite(joint)):
@@ -143,7 +134,7 @@ def ace_correlation(joint: np.ndarray, tol: float = ACE_TOL, max_iterations: int
         return 0.0
     f /= norm
     rho_prev = -1.0
-    for _ in range(max_iterations):
+    for _ in range(ACE_MAX_ITERATIONS):
         g = (joint.T @ f) / py
         g -= py @ g
         rho_y = math.sqrt(float(py @ g**2))
@@ -157,11 +148,11 @@ def ace_correlation(joint: np.ndarray, tol: float = ACE_TOL, max_iterations: int
             return 0.0
         f = f_new / rho_x
         rho = 0.5 * (rho_x + rho_y)
-        if abs(rho - rho_prev) <= tol * max(rho, 1.0):
+        if abs(rho - rho_prev) <= ACE_TOL * max(rho, 1.0):
             return rho
         rho_prev = rho
     raise BudgetError(
-        f"alternating expectations did not settle in {max_iterations} iterations",
+        f"alternating expectations did not settle in {ACE_MAX_ITERATIONS} iterations",
         best_gap=abs(rho - rho_prev),
     )
 

@@ -17,7 +17,8 @@ boundary only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,6 +105,14 @@ def require_nonnegative(value: float, what: str) -> float:
     return value
 
 
+def is_count(value, least: int) -> bool:
+    """Whether ``value`` is an integer (numpy integers included) of at least ``least``."""
+    try:
+        return operator.index(value) >= least
+    except TypeError:
+        return False
+
+
 def require_positive(value: float, what: str) -> float:
     """``value``, a perturbation size, unless it is not finite and above 0."""
     if not (math.isfinite(value) and value > 0):
@@ -172,7 +181,7 @@ class ConditionalFamily:
     """A law over an auxiliary variable together with one kernel per value."""
 
     u_law: Distribution
-    kernels: tuple = field(default_factory=tuple)
+    kernels: tuple
 
     def __post_init__(self):
         kernels = tuple(self.kernels)
@@ -192,13 +201,18 @@ class ConditionalFamily:
     def mixture(self) -> Distribution:
         return Distribution(self.u_law.probs @ self.kernel_matrix())
 
-    def assert_marginal(self, marginal: Distribution, atol: float = MIXTURE_ATOL):
-        mix = self.u_law.probs @ self.kernel_matrix()
-        err = float(np.max(np.abs(mix - marginal.probs)))
-        if err > atol:
-            raise InvalidDistributionError(
-                f"mixture deviates from the stated marginal by {err!r}"
-            )
+    def assert_marginal(self, marginal: Distribution):
+        err = float(np.max(np.abs(self.u_law.probs @ self.kernel_matrix() - marginal.probs)))
+        if err > MIXTURE_ATOL:
+            raise InvalidDistributionError(f"mixture deviates from the stated marginal by {err!r}")
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL divergence along axis 0 of distributions against one ``q``;
+    ``inf`` where ``p`` puts mass outside the support of ``q``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log(p / q.reshape(q.shape + (1,) * (p.ndim - 1))), 0.0)
+    return terms.sum(axis=0)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:
@@ -208,15 +222,8 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     terms with ``p(x) = 0`` contribute nothing.
     """
     if p.alphabet_size != q.alphabet_size:
-        raise DimensionMismatchError(
-            f"alphabets differ: {p.alphabet_size} vs {q.alphabet_size}"
-        )
-    pa, qa = p.probs, q.probs
-    support = pa > 0
-    if np.any(qa[support] == 0):
-        return math.inf
-    ps = pa[support]
-    return float(np.sum(ps * np.log(ps / qa[support])))
+        raise DimensionMismatchError(f"alphabets differ: {p.alphabet_size} vs {q.alphabet_size}")
+    return float(_kl(p.probs, q.probs))
 
 
 def weighted_inner(j1: np.ndarray, j2: np.ndarray, ref: Distribution) -> float:
@@ -253,17 +260,10 @@ def local_kl(pert: Perturbation) -> float:
 
 def mutual_information(fam: ConditionalFamily, marginal: Distribution) -> float:
     """Exact mutual information ``sum_u P_U(u) D(kernel_u || marginal)`` in nats."""
-    if fam.kernels and fam.kernels[0].alphabet_size != marginal.alphabet_size:
+    if fam.kernels[0].alphabet_size != marginal.alphabet_size:
         raise DimensionMismatchError("kernels and marginal live on different alphabets")
-    total = 0.0
-    for pu, kernel in zip(fam.u_law.probs, fam.kernels):
-        if pu == 0:
-            continue
-        d = kl_divergence(kernel, marginal)
-        if math.isinf(d):
-            return math.inf
-        total += pu * d
-    return total
+    pu = fam.u_law.probs
+    return float(pu[pu > 0] @ _kl(fam.kernel_matrix()[pu > 0].T, marginal.probs))
 
 
 def apply_perturbation(pert: Perturbation) -> Distribution:

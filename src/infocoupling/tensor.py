@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -24,51 +24,44 @@ KRON_SIZE_CAP = 4096
 MAX_LETTERS = 3
 
 
-def kron(a: np.ndarray, b: np.ndarray, size_cap: int = KRON_SIZE_CAP) -> np.ndarray:
-    """Kronecker product with a guard on the materialized size."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product, refused above ``KRON_SIZE_CAP`` rows or columns."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if rows > size_cap or cols > size_cap:
-        raise CapacityError(
-            f"kron result would be {rows}x{cols}, above the cap {size_cap}"
-        )
+    if rows > KRON_SIZE_CAP or cols > KRON_SIZE_CAP:
+        raise CapacityError(f"kron result would be {rows}x{cols}, above the cap {KRON_SIZE_CAP}")
     return np.kron(a, b)
 
 
-def kron_power(matrix: np.ndarray, n: int, size_cap: int = KRON_SIZE_CAP) -> np.ndarray:
+def kron_power(matrix: np.ndarray, n: int) -> np.ndarray:
     if n < 1:
         raise DimensionMismatchError("need at least one letter")
-    return reduce(lambda acc, _: kron(acc, matrix, size_cap), range(n - 1), np.asarray(matrix, dtype=float))
+    return reduce(lambda acc, _: kron(acc, matrix), range(n - 1), np.asarray(matrix, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
 class LiftedDtm:
     """An n-letter lift of a coupling matrix.
 
-    The matrix is materialized only when it fits under the size cap;
-    :meth:`apply` always works, multiplying by the base matrix one
-    letter index at a time.
+    :attr:`matrix` is the Kronecker power, formed by :func:`kron_power`
+    on first use and kept; above ``KRON_SIZE_CAP`` it raises
+    :class:`CapacityError`.  :meth:`apply` always works, multiplying by
+    the base matrix one letter index at a time.
     """
 
     base: Dtm
     letters: int
-    materialized: np.ndarray | None
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self.materialized is None:
-            raise CapacityError(
-                f"{self.letters}-letter lift exceeds the materialization cap"
-            )
-        return self.materialized
+        return kron_power(self.base.matrix, self.letters)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the lift to a vector over the n-letter input alphabet
         without materializing the Kronecker power."""
         nx = self.base.input.alphabet_size
-        ny = self.base.output.alphabet_size
         vec = np.asarray(vec, dtype=float)
         if vec.size != nx**self.letters:
             raise DimensionMismatchError(
@@ -78,20 +71,13 @@ class LiftedDtm:
         for axis in range(self.letters):
             tensor = np.tensordot(self.base.matrix, tensor, axes=([1], [axis]))
             tensor = np.moveaxis(tensor, 0, axis)
-        assert tensor.shape == (ny,) * self.letters
         return tensor.reshape(-1)
 
 
-def lift_dtm(dtm: Dtm, letters: int, size_cap: int = KRON_SIZE_CAP) -> LiftedDtm:
+def lift_dtm(dtm: Dtm, letters: int) -> LiftedDtm:
     if letters < 1:
         raise DimensionMismatchError("need at least one letter")
-    nx = dtm.input.alphabet_size
-    ny = dtm.output.alphabet_size
-    if nx**letters <= size_cap and ny**letters <= size_cap:
-        materialized = kron_power(dtm.matrix, letters, size_cap)
-    else:
-        materialized = None
-    return LiftedDtm(base=dtm, letters=letters, materialized=materialized)
+    return LiftedDtm(base=dtm, letters=letters)
 
 
 def kron_pair_residual(dtm: Dtm, i: int, j: int) -> float:
@@ -104,22 +90,21 @@ def kron_pair_residual(dtm: Dtm, i: int, j: int) -> float:
     s = dtm.spectrum
     if not (0 <= i < len(s) and 0 <= j < len(s)):
         raise DimensionMismatchError("singular index out of range")
-    lifted = LiftedDtm(base=dtm, letters=2, materialized=None)
     v = np.kron(s.right_vectors[:, i], s.right_vectors[:, j])
     w = np.kron(s.left_vectors[:, i], s.left_vectors[:, j])
     sigma = float(s.singular_values[i] * s.singular_values[j])
-    return float(np.linalg.norm(lifted.apply(v) - sigma * w))
+    return float(np.linalg.norm(lift_dtm(dtm, 2).apply(v) - sigma * w))
 
 
-def lifted_spectrum(dtm: Dtm, n: int, size_cap: int = KRON_SIZE_CAP) -> Spectrum:
+def lifted_spectrum(dtm: Dtm, n: int) -> Spectrum:
     """Full SVD of the n-letter lift under the package conventions; the
     top pair is not pinned as in ``build_dtm``, so a tie at the top
     surfaces whichever basis of the tied subspace the SVD returns."""
-    u, s, vt = np.linalg.svd(lift_dtm(dtm, n, size_cap).matrix, full_matrices=False)
+    u, s, vt = np.linalg.svd(lift_dtm(dtm, n).matrix, full_matrices=False)
     return Spectrum(*canonical_spectrum(s, vt.T, u))
 
 
-def second_singular_of_power(dtm: Dtm, n: int, size_cap: int = KRON_SIZE_CAP) -> float:
+def second_singular_of_power(dtm: Dtm, n: int) -> float:
     """Second-largest singular value of the n-letter lift, by full SVD.
 
     Tensorization makes this equal to the single-letter second singular
@@ -128,7 +113,7 @@ def second_singular_of_power(dtm: Dtm, n: int, size_cap: int = KRON_SIZE_CAP) ->
     """
     if not 1 <= n <= MAX_LETTERS:
         raise CapacityError(f"letter count must be in [1, {MAX_LETTERS}]")
-    values = lifted_spectrum(dtm, n, size_cap).singular_values
+    values = lifted_spectrum(dtm, n).singular_values
     return float(values[1]) if values.size > 1 else 0.0
 
 

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from infocoupling import (
+    BlockCodeConfig,
+    ChannelMatrix,
     DiagonalInstance,
     Distribution,
     Perturbation,
@@ -17,15 +19,21 @@ from infocoupling import (
     antipodal_pair_ensemble,
     brute_p2p,
     diagonal_maxmin,
+    greedy_layer,
+    plan_ternary_two_layer,
     s_ratio_search,
+    simulate_layered,
     solve_broadcast,
     solve_p2p,
+    split_rate_region,
     superposition_information,
 )
 from infocoupling.cli import EXIT_OK, EXIT_PARSE, main
 from infocoupling.errors import (
+    ConfigurationError,
     DimensionMismatchError,
     InfeasibleError,
+    InputMismatchError,
     InvalidDistributionError,
     ResolutionError,
 )
@@ -118,3 +126,59 @@ class TestOracleShapes:
         dirs = np.array([[0.1, -0.1, 0.0], [-0.1, 0.1, 0.0]])
         with pytest.raises(DimensionMismatchError):
             superposition_information(base, [(np.array([0.5, 0.5]), dirs, 0.1)])
+
+
+class TestNanEscapes:
+    @pytest.mark.parametrize(
+        "split", [(math.nan, 0.1, 0.1), (0.1, math.nan, 0.1), (0.1, 0.1, math.inf), (0.1, -math.inf, 0.1)]
+    )
+    def test_split_components(self, split, ternary_dtm):
+        # a NaN or inf component came back as a NaN or inf rate
+        with pytest.raises(InputMismatchError, match="finite and non-negative"):
+            split_rate_region(ternary_dtm, ternary_dtm, [split])
+
+    @pytest.mark.parametrize("eps", BAD_SIZES + [-0.5])
+    def test_layer_epsilon(self, eps, ternary_channel, ternary_point):
+        # NaN gave rate = nan; negative sizes were accepted
+        with pytest.raises(InvalidDistributionError, match="epsilon"):
+            greedy_layer(ternary_channel, ternary_point, eps)
+
+    @pytest.mark.parametrize("law", [[math.nan, 0.5], [0.5, 0.6], [1.5, -0.5]])
+    def test_superposition_law(self, law):
+        # a NaN law gave nan, an unnormalized one a number
+        dirs = np.array([[0.1, -0.1], [-0.1, 0.1]])
+        with pytest.raises(InvalidDistributionError):
+            superposition_information(Distribution([0.5, 0.5]), [(np.array(law), dirs, 0.1)])
+
+
+class TestBlockCodeIntegers:
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            dict(n1=400.5, k1=5),
+            dict(n1=400, k1=2.0),
+            dict(n1=400, k1=5, trials=1.5),
+            dict(n1=400, k1=5, n2=25.0, k2=16),
+            dict(n1=400, k1="5"),
+        ],
+    )
+    def test_non_integers_rejected(self, sizes):
+        # these reached simulate_layered, which leaked a TypeError
+        with pytest.raises(ConfigurationError, match="integers"):
+            BlockCodeConfig(**sizes)
+
+    def test_numpy_integers_accepted(self, ternary_channel):
+        cfg = BlockCodeConfig(
+            n1=np.int64(40), k1=np.int32(3), n2=np.int64(5), k2=np.int16(8), trials=np.int64(2), seed=1
+        )
+        report = simulate_layered(plan_ternary_two_layer(0.2, 0.1), ternary_channel, cfg)
+        assert report.per_layer_bits[0] == 6
+
+
+class TestOneSymbolAlphabet:
+    def test_grid_oracles_name_the_missing_direction(self):
+        w, px = ChannelMatrix([[0.3], [0.7]]), Distribution([1.0])
+        with pytest.raises(DimensionMismatchError, match="one-symbol alphabet has no perturbation direction"):
+            brute_p2p(w, px, 1e-3, SearchBudget(grid_resolution=16))
+        with pytest.raises(DimensionMismatchError, match="one-symbol alphabet has no perturbation direction"):
+            s_ratio_search(w, px, SearchBudget(grid_resolution=16))

@@ -154,3 +154,21 @@ class TestProductFormProjector:
         psi = spec.right_vectors[:, 1]
         dec = product_form_projector(psi, ternary_dtm.right_vector(0))
         assert dec.residual <= 1e-8
+
+
+class TestLiftAboveCap:
+    def test_apply_works_and_matrix_refuses(self, rng):
+        # 17**3 = 4913 input letters: above the Kronecker cap of 4096
+        dtm = build_dtm(instances.random_channel(rng, 17, 3), instances.random_distribution(rng, 17))
+        lift = lift_dtm(dtm, 3)
+        v = dtm.right_vector(1)
+        w = dtm.matrix @ v
+        out = lift.apply(np.kron(np.kron(v, v), v))
+        assert np.max(np.abs(out - np.kron(np.kron(w, w), w))) <= 1e-12
+        with pytest.raises(CapacityError):
+            lift.matrix
+
+    def test_matrix_formed_once(self, ternary_dtm):
+        lift = lift_dtm(ternary_dtm, 2)
+        assert lift.matrix is lift.matrix
+        assert np.array_equal(lift.matrix, np.kron(ternary_dtm.matrix, ternary_dtm.matrix))
