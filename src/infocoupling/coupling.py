@@ -27,6 +27,10 @@ and its dual value bounds the remaining gap.  For a common source
 feeding a multiple access channel the per-transmitter coupling matrices,
 each restricted to its valid plane, stack side by side and one top
 singular pair answers the question, coherent combining gain included.
+
+The linear programs are scipy's HiGHS, looked up as
+``scipy.optimize.linprog`` at each call: ``scipy.optimize`` is loaded on
+the first LP, so point-to-point and MAC work never imports it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy
 
 from .channel import (
     ChannelMatrix, Dtm, build_dtm, canonical_sign, renyi_correlation, unit_columns, valid_plane_basis,
@@ -207,7 +211,7 @@ def _maxmin_lp(ratings: np.ndarray):
     k, n = ratings.shape
     c_vec = np.zeros(n + 1)
     c_vec[-1] = -1.0
-    res = linprog(
+    res = scipy.optimize.linprog(
         c_vec,
         A_ub=np.hstack([-ratings, np.ones((k, 1))]),
         b_ub=np.zeros(k),
@@ -512,7 +516,7 @@ def diagonal_maxmin(inst: DiagonalInstance, target_levels=None) -> DiagonalMaxMi
             )
         if not np.all(np.isfinite(levels)):
             raise InfeasibleError("target levels must be finite")
-        res = linprog(
+        res = scipy.optimize.linprog(
             -squares[-1],
             A_eq=np.vstack([squares[:-1], np.ones((1, m))]),
             b_eq=np.concatenate([levels, [1.0]]),

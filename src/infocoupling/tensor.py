@@ -24,20 +24,28 @@ KRON_SIZE_CAP = 4096
 MAX_LETTERS = 3
 
 
+def _require_capped(rows: int, cols: int) -> None:
+    if rows > KRON_SIZE_CAP or cols > KRON_SIZE_CAP:
+        raise CapacityError(f"kron result would be {rows}x{cols}, above the cap {KRON_SIZE_CAP}")
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, refused above ``KRON_SIZE_CAP`` rows or columns."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > KRON_SIZE_CAP or cols > KRON_SIZE_CAP:
-        raise CapacityError(f"kron result would be {rows}x{cols}, above the cap {KRON_SIZE_CAP}")
+    _require_capped(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return np.kron(a, b)
 
 
 def kron_power(matrix: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power, refused before any product is formed at
+    the first power above ``KRON_SIZE_CAP``; checking letter by letter
+    keeps a huge ``n`` from forming a huge integer shape."""
     if n < 1:
         raise DimensionMismatchError("need at least one letter")
+    rows, cols = np.atleast_2d(matrix).shape
+    for letters in range(2, n + 1):
+        _require_capped(rows**letters, cols**letters)
     return reduce(lambda acc, _: kron(acc, matrix), range(n - 1), np.asarray(matrix, dtype=float))
 
 

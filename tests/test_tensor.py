@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,14 @@ class TestLiftAboveCap:
         lift = lift_dtm(ternary_dtm, 2)
         assert lift.matrix is lift.matrix
         assert np.array_equal(lift.matrix, np.kron(ternary_dtm.matrix, ternary_dtm.matrix))
+
+    def test_refused_before_any_power_is_formed(self, ternary_dtm):
+        # 3**8 = 6561 letters, above the cap: refused before the 2187 x 2187 power
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                lift_dtm(ternary_dtm, 8).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
