@@ -38,7 +38,7 @@ print(f"\nbest single direction    : {sd.value:.6f}  (= sigma1^2 / 4)")
 print(f"optimality gap           : {sd.optimality_gap:.1e}  (exact on a 2-D plane)")
 print(f"ensemble advantage       : {sol.value - sd.value:.6f}")
 
-est = brute_broadcast(dtms, SearchBudget(grid_resolution=180, rng_seed=0))
+est = brute_broadcast(dtms, SearchBudget(grid_resolution=180))
 print(f"\nexact Gram-disk oracle   : {est.lambda_estimate:.6f}")
 print("oracle angles (deg)      :", [round(float(np.degrees(a)), 1) for a in est.angles])
 print("oracle weights           :", [round(w, 6) for w in est.weights])

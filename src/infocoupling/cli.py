@@ -4,12 +4,15 @@ Subcommands: ``spectrum`` (coupling matrix and its singular system),
 ``couple`` (point-to-point, broadcast, and MAC solvers), ``verify``
 (property suites over random instances), and ``layered`` (ternary
 two-layer plan and Monte Carlo simulation).  Channel specifications are
-JSON files; reports are JSON on stdout (or ``--output``) carrying both
-nats and bits for every rate, plus seeds and residuals so runs can be
+JSON files.  Each ``cmd_*`` only computes and returns ``(inputs,
+results, seeds)``; :func:`main` alone times the run, wraps them in the
+report (:func:`make_report`) and writes it (:func:`_emit`) as JSON to
+stdout, or to ``--output`` on any subcommand.  Reports carry both nats
+and bits for every rate, plus seeds and residuals so runs can be
 reproduced byte for byte.
 
 Exit codes: 0 success, 1 failed verification check, 2 parse error,
-3 numeric degeneracy, 4 constraint or regime violation.
+3 numeric degeneracy, 4 constraint, regime or configuration violation.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .coupling import (
 )
 from .errors import (
     BudgetError,
+    ConfigurationError,
     DegenerateOutputError,
     DimensionMismatchError,
     InfoCouplingError,
@@ -72,13 +76,13 @@ def _as_rate(nats: float) -> dict:
     return {"nats": float(nats), "bits": float(nats) / LN2}
 
 
-def make_report(command: list[str], inputs: dict, results: dict, seeds=None) -> dict:
+def make_report(command: list[str], inputs: dict, results: dict, seeds: dict) -> dict:
     return {
         "tool_version": __version__,
         "command": command,
         "inputs": inputs,
         "results": results,
-        "seeds": seeds if seeds is not None else {},
+        "seeds": seeds,
         "wall_time_s": 0.0,
     }
 
@@ -197,16 +201,12 @@ def _parse_channel(data, nx: int) -> ChannelMatrix:
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(args, argv) -> int:
-    started = time.time()
+def cmd_spectrum(args):
     spec = parse_channel_spec(args.spec)
     if spec["kind"] != "channel" or len(spec["channels"]) != 1:
         raise SpecError("spectrum expects a single-channel spec")
-    px = spec["input_dist"]
-    dtm = build_dtm(spec["channels"][0], px)
+    dtm = build_dtm(spec["channels"][0], spec["input_dist"])
     report_top = verify_top_singular(dtm)
-    corr = renyi_correlation(dtm) if len(dtm.spectrum) > 1 else None
-    digits = args.precision
     results = {
         "singular_values": dtm.singular_values,
         "right_vectors_columns": dtm.spectrum.right_vectors.T,
@@ -219,22 +219,20 @@ def cmd_spectrum(args, argv) -> int:
         "strong_dpi_coefficient": strong_dpi_coefficient(dtm),
         "output_dist": dtm.output.probs,
     }
-    if corr is not None:
+    if len(dtm.spectrum) > 1:
+        corr = renyi_correlation(dtm)
         results["maximal_correlation"] = {
             "rho": corr.rho,
             "f": corr.f,
             "g": corr.g,
             "ambiguous": corr.ambiguous,
         }
-    summary = ", ".join(f"{v:.{digits}g}" for v in dtm.singular_values)
+    summary = ", ".join(f"{v:.12g}" for v in dtm.singular_values)
     print(f"# {spec['name']}: singular values [{summary}]", file=sys.stderr)
-    report = make_report(argv, {"spec": args.spec, "name": spec["name"]}, results)
-    _emit(report, started, args.output)
-    return EXIT_OK
+    return {"spec": args.spec, "name": spec["name"]}, results, {}
 
 
-def cmd_couple(args, argv) -> int:
-    started = time.time()
+def cmd_couple(args):
     specs = [parse_channel_spec(p) for p in args.specs]
     inputs = {"specs": args.specs, "mode": args.mode, "epsilon": args.epsilon}
     if args.mode == "p2p":
@@ -275,7 +273,7 @@ def cmd_couple(args, argv) -> int:
                 "psi": sd.psi,
                 "optimality_gap": sd.optimality_gap,
             }
-    elif args.mode == "mac":
+    else:  # mac
         if len(specs) != 1 or specs[0]["kind"] != "mac":
             raise InputMismatchError("mac mode expects exactly one MAC spec")
         dtms = build_mac_dtms(specs[0]["joint"], specs[0]["transmitters"])
@@ -289,31 +287,19 @@ def cmd_couple(args, argv) -> int:
             "two_letter_residual": mac_tensorization_check(dtms),
             "rate_common": _as_rate(0.5 * args.epsilon**2 * sol.sigma_common**2),
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputMismatchError(f"unknown mode {args.mode}")
-    report = make_report(argv, inputs, results)
-    _emit(report, started, args.output)
-    return EXIT_OK
+    return inputs, results, {}
 
 
-def _tensor_suite(seed: int, budget: int) -> list[dict]:
+def _tensor_suite(seed: int, budget: int) -> list[tuple]:
     rng = np.random.default_rng(seed)
-    checks = []
     worst_top, worst_bound = 0.0, 0.0
-    n_chan = max(10, budget // 20)
-    for _ in range(n_chan):
+    for _ in range(max(10, budget // 20)):
         nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         dtm = build_dtm(
             instances.random_channel(rng, nx, ny), instances.random_distribution(rng, nx)
         )
         worst_top = max(worst_top, verify_top_singular(dtm).max_err)
         worst_bound = max(worst_bound, float(dtm.singular_values.max()) - 1.0)
-    checks.append(
-        {"name": "top_pair_residual", "bound": 1e-9, "observed": worst_top}
-    )
-    checks.append(
-        {"name": "singular_values_at_most_one", "bound": 1e-10, "observed": worst_bound}
-    )
     worst_pair, worst_power, worst_implicit = 0.0, 0.0, 0.0
     for _ in range(max(5, budget // 100)):
         ny = int(rng.integers(2, 6))
@@ -333,19 +319,17 @@ def _tensor_suite(seed: int, budget: int) -> list[dict]:
                 worst_implicit,
                 float(np.max(np.abs(lift.apply(vec) - lift.matrix @ vec))),
             )
-    checks.append({"name": "kron_pair_residual", "bound": 1e-9, "observed": worst_pair})
-    checks.append(
-        {"name": "second_singular_tensorizes", "bound": 1e-9, "observed": worst_power}
-    )
-    checks.append(
-        {"name": "implicit_matches_materialized", "bound": 1e-11, "observed": worst_implicit}
-    )
-    return checks
+    return [
+        ("top_pair_residual", 1e-9, worst_top),
+        ("singular_values_at_most_one", 1e-10, worst_bound),
+        ("kron_pair_residual", 1e-9, worst_pair),
+        ("second_singular_tensorizes", 1e-9, worst_power),
+        ("implicit_matches_materialized", 1e-11, worst_implicit),
+    ]
 
 
-def _oracle_suite(seed: int, budget: int) -> list[dict]:
+def _oracle_suite(seed: int, budget: int) -> list[tuple]:
     rng = np.random.default_rng(seed)
-    checks = []
     worst_ace = 0.0
     for _ in range(max(10, budget // 10)):
         nx, ny = int(rng.integers(2, 6)), int(rng.integers(2, 6))
@@ -354,80 +338,47 @@ def _oracle_suite(seed: int, budget: int) -> list[dict]:
         w = ChannelMatrix((joint / joint.sum(axis=1)[:, np.newaxis]).T)
         dtm = build_dtm(w, px)
         worst_ace = max(worst_ace, abs(ace_correlation(joint) - dtm.second_singular_value))
-    checks.append({"name": "ace_matches_spectrum", "bound": 1e-8, "observed": worst_ace})
 
     w = instances.nested_ternary_channel(0.2, 0.1)
     px = instances.nested_ternary_operating_point()
-    dtm = build_dtm(w, px)
-    sb = SearchBudget(grid_resolution=max(90, budget), rng_seed=seed)
-    ratio = brute_p2p(w, px, 1e-3, sb).best_ratio
-    coeff = strong_dpi_coefficient(dtm)
-    checks.append(
-        {
-            "name": "brute_ratio_within_contraction",
-            "bound": coeff * 1e-2,
-            "observed": max(ratio - coeff, 0.0),
-        }
-    )
-    checks.append(
-        {"name": "brute_ratio_reaches_contraction", "bound": 1e-3, "observed": max(coeff - ratio, 0.0)}
-    )
-    s_res = s_ratio_search(w, px, SearchBudget(grid_resolution=min(max(budget // 4, 16), 64), rng_seed=seed))
-    checks.append(
-        {
-            "name": "ratio_search_reaches_contraction",
-            "bound": 1e-3,
-            "observed": max(coeff - s_res.lower_bound, 0.0),
-        }
-    )
-    chans = instances.windmill_channels(0.1)
+    coeff = strong_dpi_coefficient(build_dtm(w, px))
+    ratio = brute_p2p(w, px, 1e-3, SearchBudget(grid_resolution=max(90, budget))).best_ratio
+    s_res = s_ratio_search(w, px, SearchBudget(grid_resolution=min(max(budget // 4, 16), 64)))
     pw = instances.windmill_operating_point()
-    dtms = [build_dtm(c, pw) for c in chans]
+    dtms = [build_dtm(c, pw) for c in instances.windmill_channels(0.1)]
     lam = solve_broadcast(dtms).value
-    est = brute_broadcast(dtms, SearchBudget(grid_resolution=180, rng_seed=seed)).lambda_estimate
-    checks.append(
-        {"name": "ensemble_search_matches_solver", "bound": 1e-3, "observed": abs(lam - est)}
-    )
-    return checks
+    est = brute_broadcast(dtms, SearchBudget(grid_resolution=180)).lambda_estimate
+    return [
+        ("ace_matches_spectrum", 1e-8, worst_ace),
+        ("brute_ratio_within_contraction", coeff * 1e-2, max(ratio - coeff, 0.0)),
+        ("brute_ratio_reaches_contraction", 1e-3, max(coeff - ratio, 0.0)),
+        ("ratio_search_reaches_contraction", 1e-3, max(coeff - s_res.lower_bound, 0.0)),
+        ("ensemble_search_matches_solver", 1e-3, abs(lam - est)),
+    ]
 
 
-def cmd_verify(args, argv) -> int:
-    started = time.time()
-    checks = []
+def cmd_verify(args):
+    suites = []
     if args.suite in ("tensor", "all"):
-        checks.extend(_tensor_suite(args.seed, args.budget))
+        suites += _tensor_suite(args.seed, args.budget)
     if args.suite in ("oracle", "all"):
-        checks.extend(_oracle_suite(args.seed, args.budget))
-    if args.inject_corruption and checks:
-        checks[0]["observed"] = checks[0]["bound"] * 10.0 + 1.0
-    failed = None
-    for check in checks:
-        check["passed"] = bool(check["observed"] <= check["bound"])
-        if failed is None and not check["passed"]:
-            failed = check["name"]
-    results = {"suite": args.suite, "checks": checks, "all_passed": failed is None}
-    report = make_report(
-        argv,
-        {"suite": args.suite, "budget": args.budget},
-        results,
-        seeds={"rng_seed": args.seed},
-    )
-    _emit(report, started, args.output)
-    for check in checks:
-        status = "ok" if check["passed"] else "FAIL"
-        print(
-            f"{status:4s} {check['name']}: observed {check['observed']:.3e} "
-            f"(bound {check['bound']:.1e})",
-            file=sys.stderr,
-        )
-    if failed is not None:
-        print(f"first failing check: {failed}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        suites += _oracle_suite(args.seed, args.budget)
+    if args.inject_corruption and suites:
+        name, bound, _ = suites[0]
+        suites[0] = (name, bound, bound * 10.0 + 1.0)
+    checks = []
+    for name, bound, observed in suites:
+        passed = bool(observed <= bound)
+        checks.append({"name": name, "bound": bound, "observed": observed, "passed": passed})
+        print(f"{'ok' if passed else 'FAIL':4s} {name}: observed {observed:.3e} (bound {bound:.1e})", file=sys.stderr)
+    failed = [check["name"] for check in checks if not check["passed"]]
+    if failed:
+        print(f"first failing check: {failed[0]}", file=sys.stderr)
+    results = {"suite": args.suite, "checks": checks, "all_passed": not failed}
+    return {"suite": args.suite, "budget": args.budget}, results, {"rng_seed": args.seed}
 
 
-def cmd_layered(args, argv) -> int:
-    started = time.time()
+def cmd_layered(args):
     plan = plan_ternary_two_layer(args.eta, args.gamma)
     results = {
         "layers": [
@@ -462,11 +413,7 @@ def cmd_layered(args, argv) -> int:
             "block sizes are engineering choices, not derived quantities",
         }
         seeds = {"simulation_seed": cfg.seed}
-    report = make_report(
-        argv, {"eta": args.eta, "gamma": args.gamma, "simulate": args.simulate}, results, seeds
-    )
-    _emit(report, started, args.output)
-    return EXIT_OK
+    return {"eta": args.eta, "gamma": args.gamma, "simulate": args.simulate}, results, seeds
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Local information-coupling analysis of discrete channels",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--output", help="write the JSON report here instead of stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_spec = sub.add_parser("spectrum", help="coupling matrix spectrum report")
+    p_spec = sub.add_parser("spectrum", parents=[common], help="coupling matrix spectrum report")
     p_spec.add_argument("spec", help="channel spec JSON path")
-    p_spec.add_argument("--precision", type=int, default=12, help="summary digits")
-    p_spec.add_argument("--output", help="write the JSON report here instead of stdout")
     p_spec.set_defaults(func=cmd_spectrum)
 
-    p_couple = sub.add_parser("couple", help="run a coupling solver")
+    p_couple = sub.add_parser("couple", parents=[common], help="run a coupling solver")
     p_couple.add_argument("specs", nargs="+", help="channel spec JSON path(s)")
     p_couple.add_argument("--mode", choices=["p2p", "broadcast", "mac"], required=True)
     p_couple.add_argument("--epsilon", type=_epsilon, default=1e-2)
@@ -497,20 +444,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also search the best single shared direction (broadcast)",
     )
-    p_couple.add_argument("--output")
     p_couple.set_defaults(func=cmd_couple)
 
-    p_verify = sub.add_parser("verify", help="run property suites")
+    p_verify = sub.add_parser("verify", parents=[common], help="run property suites")
     p_verify.add_argument("--suite", choices=["tensor", "oracle", "all"], default="all")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=int, default=200)
-    p_verify.add_argument("--output")
     p_verify.add_argument(
         "--inject-corruption", action="store_true", help=argparse.SUPPRESS
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_layer = sub.add_parser("layered", help="ternary two-layer plan and simulation")
+    p_layer = sub.add_parser("layered", parents=[common], help="ternary two-layer plan and simulation")
     p_layer.add_argument("--eta", type=float, required=True)
     p_layer.add_argument("--gamma", type=float, required=True)
     p_layer.add_argument("--simulate", action="store_true")
@@ -520,17 +465,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_layer.add_argument("--k2", type=int, default=8)
     p_layer.add_argument("--trials", type=int, default=200)
     p_layer.add_argument("--seed", type=int, default=12345)
-    p_layer.add_argument("--output")
     p_layer.set_defaults(func=cmd_layered)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args, ["infocoupling", *argv])
+        inputs, results, seeds = args.func(args)
+        report = make_report(["infocoupling", *argv], inputs, results, seeds)
+        _emit(report, started, args.output)
+        return EXIT_CHECK_FAILED if results.get("all_passed") is False else EXIT_OK
     except json.JSONDecodeError as exc:
         print(f"parse error at byte offset {exc.pos}: {exc.msg}", file=sys.stderr)
         return EXIT_PARSE
@@ -540,7 +487,9 @@ def main(argv=None) -> int:
     except (DegenerateOutputError, SingularWeightError) as exc:
         print(f"numeric degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InputMismatchError, RegimeError, InvalidDistributionError, DimensionMismatchError) as exc:
+    except (
+        InputMismatchError, RegimeError, InvalidDistributionError, DimensionMismatchError, ConfigurationError
+    ) as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
     except (BudgetError, InfoCouplingError) as exc:

@@ -39,11 +39,11 @@ SLAB_PAIRS = 2**16
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Grid resolution (points per angular dimension) and the seed
-    recorded in every report."""
+    """Grid resolution (points per angular dimension) of a grid oracle.
+    :func:`brute_broadcast` also takes one, kept for call compatibility,
+    but does not read it."""
 
     grid_resolution: int
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not is_count(self.grid_resolution, 8):
@@ -73,7 +73,6 @@ def _direction_grid(dim: int, resolution: int) -> np.ndarray:
 class BruteP2PResult:
     best_ratio: float
     best_direction: np.ndarray
-    rng_seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "best_direction", _freeze(self.best_direction))
@@ -106,7 +105,7 @@ def brute_p2p(w: ChannelMatrix, px: Distribution, epsilon: float, budget: Search
     iy = 0.5 * _kl((ends @ w.entries.T).T, py).sum(axis=1)
     ratio = np.where(valid & (ix > 0), iy / np.where(ix > 0, ix, 1.0), -np.inf)
     j = int(np.argmax(ratio))
-    return BruteP2PResult(best_ratio=float(ratio[j]), best_direction=psis[j], rng_seed=budget.rng_seed)
+    return BruteP2PResult(best_ratio=float(ratio[j]), best_direction=psis[j])
 
 
 def ace_correlation(joint: np.ndarray) -> float:
@@ -116,11 +115,13 @@ def ace_correlation(joint: np.ndarray) -> float:
     recenter, condition back, renormalize; the correlation estimates
     increase to the maximal correlation.  Stops when the estimate moves
     by less than ``ACE_TOL`` (relative); raises :class:`BudgetError` if
-    ``ACE_MAX_ITERATIONS`` run out first.
+    ``ACE_MAX_ITERATIONS`` run out first.  ``joint`` must be a finite
+    2-D probability table.
     """
     joint = np.asarray(joint, dtype=float)
     if joint.ndim != 2 or not np.all(np.isfinite(joint)):
         raise DimensionMismatchError("joint must be a finite 2-D array over (x, y)")
+    Distribution(joint.ravel())  # negative or unnormalized joints raise InvalidDistributionError
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     if np.any(px <= 0) or np.any(py <= 0):
@@ -162,7 +163,6 @@ class SRatioResult:
     lower_bound: float
     nonlocal_best: float
     local_best: float
-    rng_seed: int
 
 
 def _simplex_grid(n: int, divisions: int) -> np.ndarray:
@@ -209,8 +209,8 @@ def s_ratio_search(w: ChannelMatrix, px: Distribution, budget: SearchBudget) -> 
         iy = a * dy0[k] + (1 - a) * _kl(np.tensordot(w.entries, q1, axes=1), py)
         ratio = np.where(ix > 1e-15, iy / np.where(ix > 0, ix, 1.0), -np.inf)
         best = max(best, float(ratio.max(initial=-np.inf)))
-    local = brute_p2p(w, px, 1e-3, SearchBudget(max(budget.grid_resolution, 360), budget.rng_seed)).best_ratio
-    return SRatioResult(max(best, local), best, local, budget.rng_seed)
+    local = brute_p2p(w, px, 1e-3, SearchBudget(max(budget.grid_resolution, 360))).best_ratio
+    return SRatioResult(max(best, local), best, local)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +218,6 @@ class BruteBroadcastResult:
     lambda_estimate: float
     angles: tuple
     weights: tuple
-    rng_seed: int
 
 
 def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
@@ -237,8 +236,8 @@ def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
     or LP is involved, so the result is independent of the solver it
     checks.  The ensemble comes back in closed form as two antipodal pairs
     at angles ``phi`` and ``phi + pi/2`` with weights ``(1 +- r)/2``.  The
-    enumeration reads no resolution from ``budget``; only its ``rng_seed``
-    is recorded.
+    enumeration reads nothing from ``budget``, which is kept for call
+    compatibility only.
     """
     k = len(dtms)
     if k < 1:
@@ -255,7 +254,6 @@ def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
             lambda_estimate=value,
             angles=(0.0,) * k,
             weights=(1.0,) + (0.0,) * (k - 1),
-            rng_seed=budget.rng_seed,
         )
 
     c, g, circle = _circle_candidates(forms)
@@ -273,5 +271,4 @@ def brute_broadcast(dtms, budget: SearchBudget) -> BruteBroadcastResult:
         lambda_estimate=float(np.min(c + g @ np.array([a, b]))),
         angles=(phi % math.pi, (phi + 0.5 * math.pi) % math.pi),
         weights=(0.5 * (1.0 + r), 0.5 * (1.0 - r)),
-        rng_seed=budget.rng_seed,
     )

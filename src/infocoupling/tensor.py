@@ -19,6 +19,7 @@ import numpy as np
 
 from .channel import Dtm, Spectrum, canonical_spectrum
 from .errors import CapacityError, DimensionMismatchError
+from .prob import is_count
 
 KRON_SIZE_CAP = 4096
 MAX_LETTERS = 3
@@ -83,8 +84,8 @@ class LiftedDtm:
 
 
 def lift_dtm(dtm: Dtm, letters: int) -> LiftedDtm:
-    if letters < 1:
-        raise DimensionMismatchError("need at least one letter")
+    if not is_count(letters, 1):
+        raise DimensionMismatchError(f"letters must be an integer >= 1, not {letters!r}")
     return LiftedDtm(base=dtm, letters=letters)
 
 

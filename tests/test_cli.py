@@ -243,6 +243,16 @@ class TestLayeredCommand:
     def test_regime_violation_exit_code(self, capsys):
         assert main(["layered", "--eta", "0.02", "--gamma", "0.05"]) == EXIT_CONSTRAINT
 
+    @pytest.mark.parametrize("n1", ["0", "401"])
+    def test_block_configuration_exit_code(self, capsys, n1):
+        # n1 = 0 is not a positive size; n1 = 401 breaks n2 * k2 == n1
+        code = main(["layered", "--eta", "0.2", "--gamma", "0.1", "--simulate", "--n1", n1])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONSTRAINT
+        assert captured.out == ""
+        assert captured.err.startswith("constraint violation:")
+        assert len(captured.err.strip().splitlines()) == 1
+
 
 class TestReports:
     def test_round_trip(self, capsys):
@@ -260,6 +270,29 @@ class TestReports:
         r1.pop("wall_time_s")
         r2.pop("wall_time_s")
         assert dump_report(r1) == dump_report(r2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", str(SPEC_DIR / "bsc01.json")],
+        ["couple", str(SPEC_DIR / "bsc01.json"), "--mode", "p2p"],
+        ["verify", "--suite", "tensor", "--budget", "20"],
+        ["layered", "--eta", "0.2", "--gamma", "0.1"],
+    ],
+)
+def test_output_flag_writes_the_stdout_report(argv, capsys, tmp_path):
+    path = tmp_path / "report.json"
+    assert main(argv) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--output", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    written = json.loads(path.read_text())
+    assert written.pop("command") == ["infocoupling", *argv, "--output", str(path)]
+    for report in (printed, written):
+        report.pop("wall_time_s")
+    printed.pop("command")
+    assert dump_report(written) == dump_report(printed)
 
 
 class TestSpecParsing:

@@ -20,6 +20,7 @@ from infocoupling import (
     brute_p2p,
     diagonal_maxmin,
     greedy_layer,
+    lift_dtm,
     plan_ternary_two_layer,
     s_ratio_search,
     simulate_layered,
@@ -114,6 +115,18 @@ class TestOracleShapes:
         # a NaN joint used to run the whole iteration budget first
         with pytest.raises(DimensionMismatchError):
             ace_correlation(np.array(joint))
+
+    @pytest.mark.parametrize("joint", [[[0.6, -0.1], [0.2, 0.3]], [[6.0, 1.0], [2.0, 3.0]]])
+    def test_ace_rejects_negative_or_unnormalized_joint(self, joint):
+        # these used to come back as correlations of 1.0 and 11.0
+        with pytest.raises(InvalidDistributionError):
+            ace_correlation(np.array(joint))
+
+    @pytest.mark.parametrize("letters", [2.5, 0, "2"])
+    def test_lift_letters_must_be_a_count(self, letters, ternary_dtm):
+        # 2.5 letters used to construct, then leak a TypeError from .matrix
+        with pytest.raises(DimensionMismatchError):
+            lift_dtm(ternary_dtm, letters)
 
     def test_superposition_short_direction_table(self):
         base = Distribution([0.5, 0.5])

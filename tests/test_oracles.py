@@ -111,24 +111,24 @@ class TestSearchBudget:
 
 class TestBruteP2P:
     def test_ternary_reaches_contraction(self, ternary_channel, ternary_point, ternary_dtm):
-        budget = SearchBudget(grid_resolution=180, rng_seed=1)
+        budget = SearchBudget(grid_resolution=180)
         res = brute_p2p(ternary_channel, ternary_point, 1e-3, budget)
         assert res.best_ratio == pytest.approx(0.16, abs=1e-3)
         alignment = abs(float(res.best_direction @ ternary_dtm.right_vector(1)))
         assert alignment >= 1 - 1e-3
 
     def test_identity_ratio_one(self):
-        budget = SearchBudget(grid_resolution=90, rng_seed=1)
+        budget = SearchBudget(grid_resolution=90)
         res = brute_p2p(instances.identity_channel(2), Distribution([0.5, 0.5]), 1e-3, budget)
         assert res.best_ratio == pytest.approx(1.0, abs=1e-6)
 
     def test_bsc_quarter(self):
-        budget = SearchBudget(grid_resolution=90, rng_seed=1)
+        budget = SearchBudget(grid_resolution=90)
         res = brute_p2p(instances.bsc(0.25), Distribution([0.5, 0.5]), 1e-3, budget)
         assert res.best_ratio == pytest.approx(0.25, abs=1e-3)
 
     def test_never_beats_contraction_locally(self, rng):
-        budget = SearchBudget(grid_resolution=60, rng_seed=1)
+        budget = SearchBudget(grid_resolution=60)
         for _ in range(20):
             nx, ny = int(rng.integers(2, 5)), int(rng.integers(2, 6))
             px = instances.random_distribution(rng, nx)
@@ -141,7 +141,7 @@ class TestBruteP2P:
         px = instances.random_distribution(rng, 4)
         w = instances.random_channel(rng, 4, 4)
         dtm = build_dtm(w, px)
-        res = brute_p2p(w, px, 1e-3, SearchBudget(grid_resolution=64, rng_seed=1))
+        res = brute_p2p(w, px, 1e-3, SearchBudget(grid_resolution=64))
         coeff = strong_dpi_coefficient(dtm)
         assert coeff * (1 - 5e-3) <= res.best_ratio <= coeff * (1 + 1e-2)
 
@@ -149,7 +149,7 @@ class TestBruteP2P:
         w = instances.random_channel(rng, 5, 5)
         px = instances.random_distribution(rng, 5)
         with pytest.raises(DimensionMismatchError):
-            brute_p2p(w, px, 1e-3, SearchBudget(grid_resolution=16, rng_seed=1))
+            brute_p2p(w, px, 1e-3, SearchBudget(grid_resolution=16))
 
     @pytest.mark.parametrize("n, resolution", [(2, 8), (2, 90), (3, 24), (3, 180), (4, 8), (4, 32)])
     @pytest.mark.parametrize("epsilon", [1e-3, 0.1])
@@ -157,13 +157,13 @@ class TestBruteP2P:
         rng = np.random.default_rng(10 * n + resolution)
         for _ in range(5):
             w, px = _sparse_family(rng, n)
-            got = brute_p2p(w, px, epsilon, SearchBudget(grid_resolution=resolution, rng_seed=1))
+            got = brute_p2p(w, px, epsilon, SearchBudget(grid_resolution=resolution))
             ratio, direction = _reference_brute_p2p(w, px, epsilon, resolution)
             assert got.best_ratio == ratio
             assert np.array_equal(got.best_direction, direction)
 
     def test_deterministic(self, ternary_channel, ternary_point):
-        budget = SearchBudget(grid_resolution=90, rng_seed=5)
+        budget = SearchBudget(grid_resolution=90)
         a = brute_p2p(ternary_channel, ternary_point, 1e-3, budget)
         b = brute_p2p(ternary_channel, ternary_point, 1e-3, budget)
         assert a.best_ratio == b.best_ratio
@@ -201,17 +201,17 @@ class TestAceCorrelation:
 
 class TestSRatioSearch:
     def test_identity(self):
-        budget = SearchBudget(grid_resolution=24, rng_seed=2)
+        budget = SearchBudget(grid_resolution=24)
         res = s_ratio_search(instances.identity_channel(3), Distribution([1 / 3] * 3), budget)
         assert res.lower_bound == pytest.approx(1.0, abs=1e-6)
 
     def test_reaches_contraction(self, ternary_channel, ternary_point, ternary_dtm):
-        budget = SearchBudget(grid_resolution=24, rng_seed=2)
+        budget = SearchBudget(grid_resolution=24)
         res = s_ratio_search(ternary_channel, ternary_point, budget)
         assert res.lower_bound >= strong_dpi_coefficient(ternary_dtm) - 1e-3
 
     def test_reaches_contraction_random(self, rng):
-        budget = SearchBudget(grid_resolution=16, rng_seed=2)
+        budget = SearchBudget(grid_resolution=16)
         for _ in range(10):
             nx, ny = int(rng.integers(2, 4)), int(rng.integers(2, 5))
             px = instances.random_distribution(rng, nx)
@@ -225,7 +225,7 @@ class TestSRatioSearch:
         rng = np.random.default_rng(100 * n + resolution)
         for _ in range(6):
             w, px = _sparse_family(rng, n)
-            got = s_ratio_search(w, px, SearchBudget(grid_resolution=resolution, rng_seed=2))
+            got = s_ratio_search(w, px, SearchBudget(grid_resolution=resolution))
             assert _s_ratio_fields(got) == _reference_s_ratio(w, px, resolution)
 
     @pytest.mark.parametrize(
@@ -237,14 +237,14 @@ class TestSRatioSearch:
     )
     def test_erasure_matches_loop(self, entries, point):
         w, px = ChannelMatrix(np.array(entries)), Distribution(point)
-        got = s_ratio_search(w, px, SearchBudget(grid_resolution=32, rng_seed=2))
+        got = s_ratio_search(w, px, SearchBudget(grid_resolution=32))
         assert _s_ratio_fields(got) == _reference_s_ratio(w, px, 32)
 
     def test_several_slabs_match_loop(self):
         resolution = 160
         assert SLAB_PAIRS // math.comb(resolution + 2, 2) < resolution - 1  # weights per slab
         w, px = _sparse_family(np.random.default_rng(160), 3)
-        got = s_ratio_search(w, px, SearchBudget(grid_resolution=resolution, rng_seed=2))
+        got = s_ratio_search(w, px, SearchBudget(grid_resolution=resolution))
         assert _s_ratio_fields(got) == _reference_s_ratio(w, px, resolution)
 
     def test_peak_memory_stays_flat(self, ternary_channel, ternary_point):
@@ -260,36 +260,36 @@ class TestSRatioSearch:
     def test_erasure_like_instance_reported(self):
         # no strictness assertion; just exercises the report fields
         w = ChannelMatrix(np.array([[0.8, 0.0], [0.0, 0.8], [0.2, 0.2]]))
-        res = s_ratio_search(w, Distribution([0.5, 0.5]), SearchBudget(grid_resolution=32, rng_seed=2))
+        res = s_ratio_search(w, Distribution([0.5, 0.5]), SearchBudget(grid_resolution=32))
         assert res.lower_bound >= res.local_best - 1e-12
         assert res.nonlocal_best >= 0.0
 
 
 class TestBruteBroadcast:
     def test_windmill(self, windmill_dtms):
-        budget = SearchBudget(grid_resolution=180, rng_seed=3)
+        budget = SearchBudget(grid_resolution=180)
         res = brute_broadcast(windmill_dtms, budget)
         target = solve_broadcast(windmill_dtms).value
         assert abs(res.lambda_estimate - target) <= 1e-3
 
     def test_single_receiver(self, ternary_dtm):
-        budget = SearchBudget(grid_resolution=180, rng_seed=3)
+        budget = SearchBudget(grid_resolution=180)
         res = brute_broadcast([ternary_dtm], budget)
         assert res.lambda_estimate == pytest.approx(0.16, abs=1e-3)
 
     def test_identical_receivers(self, ternary_dtm):
-        budget = SearchBudget(grid_resolution=180, rng_seed=3)
+        budget = SearchBudget(grid_resolution=180)
         res = brute_broadcast([ternary_dtm, ternary_dtm], budget)
         assert res.lambda_estimate == pytest.approx(0.16, abs=1e-3)
 
     def test_binary_input_degenerate_plane(self):
         d1 = build_dtm(instances.bsc(0.1), Distribution([0.5, 0.5]))
         d2 = build_dtm(instances.bsc(0.2), Distribution([0.5, 0.5]))
-        res = brute_broadcast([d1, d2], SearchBudget(grid_resolution=16, rng_seed=3))
+        res = brute_broadcast([d1, d2], SearchBudget(grid_resolution=16))
         assert res.lambda_estimate == pytest.approx(0.36, abs=1e-12)
 
     def test_deterministic(self, windmill_dtms):
-        budget = SearchBudget(grid_resolution=90, rng_seed=3)
+        budget = SearchBudget(grid_resolution=90)
         a = brute_broadcast(windmill_dtms, budget)
         b = brute_broadcast(windmill_dtms, budget)
         assert a.lambda_estimate == b.lambda_estimate
@@ -303,7 +303,7 @@ class TestBruteBroadcast:
                 build_dtm(instances.random_channel(rng, 3, int(rng.integers(2, 6))), px)
                 for _ in range(k)
             ]
-            res = brute_broadcast(dtms, SearchBudget(grid_resolution=8, rng_seed=3))
+            res = brute_broadcast(dtms, SearchBudget(grid_resolution=8))
             assert abs(res.lambda_estimate - solve_broadcast(dtms).value) <= 1e-8
 
     def test_ensemble_realizes_estimate(self, rng, windmill_dtms):
@@ -312,7 +312,7 @@ class TestBruteBroadcast:
             px = instances.random_distribution(rng, 3)
             families.append([build_dtm(instances.random_channel(rng, 3, 4), px) for _ in range(k)])
         for dtms in families:
-            res = brute_broadcast(dtms, SearchBudget(grid_resolution=8, rng_seed=3))
+            res = brute_broadcast(dtms, SearchBudget(grid_resolution=8))
             assert len(res.angles) == len(res.weights) == 2
             assert min(res.weights) >= 0.0 and sum(res.weights) == pytest.approx(1.0, abs=1e-15)
             q = valid_plane_basis(dtms[0].input)
