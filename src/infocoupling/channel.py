@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOutputError, DimensionMismatchError
-from .prob import Distribution, _freeze
+from .prob import Distribution, is_count, record
 
 COLUMN_SUM_ATOL = 1e-12
 UNIT_COLUMN_ATOL = 1e-9
@@ -35,27 +35,25 @@ SIGN_ATOL = 1e-9
 TIE_ATOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@record("entries")
 class ChannelMatrix:
     """Column-stochastic conditional law ``entries[y, x] = P(y | x)``."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or 0 in entries.shape:
+        if self.entries.ndim != 2 or 0 in self.entries.shape:
             raise DimensionMismatchError("channel must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(entries)):
+        if not np.all(np.isfinite(self.entries)):
             raise DimensionMismatchError("channel entries must be finite")
-        if np.any(entries < 0) or np.any(entries > 1):
+        if np.any(self.entries < 0) or np.any(self.entries > 1):
             raise DimensionMismatchError("channel entries must lie in [0, 1]")
-        sums = entries.sum(axis=0)
+        sums = self.entries.sum(axis=0)
         worst = float(np.max(np.abs(sums - 1.0)))
         if worst > COLUMN_SUM_ATOL:
             raise DimensionMismatchError(
                 f"channel columns must sum to 1; worst deviation {worst!r}"
             )
-        object.__setattr__(self, "entries", _freeze(entries))
 
     @property
     def input_size(self) -> int:
@@ -86,7 +84,7 @@ def output_distribution(w: ChannelMatrix, px: Distribution) -> Distribution:
     return Distribution(w.entries @ px.probs)
 
 
-@dataclass(frozen=True, eq=False)
+@record("singular_values", "right_vectors", "left_vectors")
 class Spectrum:
     """Full singular system of a coupling matrix.
 
@@ -97,11 +95,6 @@ class Spectrum:
     singular_values: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "singular_values", _freeze(self.singular_values))
-        object.__setattr__(self, "right_vectors", _freeze(self.right_vectors))
-        object.__setattr__(self, "left_vectors", _freeze(self.left_vectors))
 
     def __len__(self) -> int:
         return self.singular_values.size
@@ -141,7 +134,7 @@ def valid_plane_basis(px: Distribution) -> np.ndarray:
     return np.linalg.svd(px.sqrt()[np.newaxis, :])[2][1:].T
 
 
-@dataclass(frozen=True, eq=False)
+@record("matrix")
 class Dtm:
     """Divergence transition matrix at a fixed operating point.
 
@@ -154,18 +147,20 @@ class Dtm:
     output: Distribution
     spectrum: Spectrum
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-
     @property
     def singular_values(self) -> np.ndarray:
         return self.spectrum.singular_values
 
     def right_vector(self, i: int) -> np.ndarray:
-        return self.spectrum.right_vectors[:, i]
+        return self.spectrum.right_vectors[:, self._index(i)]
 
     def left_vector(self, i: int) -> np.ndarray:
-        return self.spectrum.left_vectors[:, i]
+        return self.spectrum.left_vectors[:, self._index(i)]
+
+    def _index(self, i: int) -> int:
+        if not (is_count(i, 0) and i < len(self.spectrum)):
+            raise DimensionMismatchError(f"singular index {i!r} is not in 0..{len(self.spectrum) - 1}")
+        return i
 
     @property
     def second_singular_value(self) -> float:
@@ -237,7 +232,7 @@ def strong_dpi_coefficient(dtm: Dtm) -> float:
     return dtm.second_singular_value**2
 
 
-@dataclass(frozen=True, eq=False)
+@record("f", "g")
 class RenyiCorrelation:
     """Maximal correlation with its achieving function pair.
 
@@ -252,10 +247,6 @@ class RenyiCorrelation:
     f: np.ndarray
     g: np.ndarray
     ambiguous: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", _freeze(self.f))
-        object.__setattr__(self, "g", _freeze(self.g))
 
 
 def renyi_correlation(dtm: Dtm) -> RenyiCorrelation:

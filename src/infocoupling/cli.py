@@ -204,7 +204,7 @@ def _parse_channel(data, nx: int) -> ChannelMatrix:
 def cmd_spectrum(args):
     spec = parse_channel_spec(args.spec)
     if spec["kind"] != "channel" or len(spec["channels"]) != 1:
-        raise SpecError("spectrum expects a single-channel spec")
+        raise InputMismatchError("spectrum expects a single-channel spec")
     dtm = build_dtm(spec["channels"][0], spec["input_dist"])
     report_top = verify_top_singular(dtm)
     results = {
@@ -244,7 +244,7 @@ def cmd_couple(args):
             "sigma1": sol.sigma1,
             "coupling_coefficient": sol.sigma1**2,
             "rate": _as_rate(sol.rate),
-            "direction_weighted": sol.ensemble.directions[0].coords,
+            "direction_weighted": sol.ensemble.coords[0],
             "ambiguous": sol.ambiguous,
         }
     elif args.mode == "broadcast":

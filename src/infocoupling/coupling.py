@@ -59,6 +59,7 @@ from .prob import (
     WeightedVector,
     _freeze,
     mutual_information,
+    record,
     require_nonnegative,
 )
 from .tensor import kron
@@ -74,52 +75,43 @@ VALUE_ATOL = 1e-15
 ASCENT_SWEEPS = 1000
 
 
-@dataclass(frozen=True, eq=False)
+@record("coords")
 class PerturbationEnsemble:
     """An auxiliary law together with one weighted direction per value.
 
+    ``coords[u]`` is the direction of auxiliary value ``u`` in weighted
+    coordinates around the one operating point ``reference``: an
+    ``(m, n)`` matrix for ``m`` auxiliary values on ``n`` input symbols.
     Valid ensembles have unit average squared norm, every direction
     orthogonal to ``sqrt(P_X)``, and zero mean, which makes all the
     materialized conditionals valid distributions with the operating
-    point as their exact mixture.
+    point as their exact mixture.  A non-finite coordinate fails them.
     """
 
     u_law: Distribution
-    directions: tuple[WeightedVector, ...]
+    reference: Distribution
+    coords: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        directions = tuple(self.directions)
-        if len(directions) != self.u_law.alphabet_size:
-            raise DimensionMismatchError("one direction per auxiliary value required")
+        if self.coords.shape != (self.u_law.alphabet_size, self.reference.alphabet_size):
+            raise DimensionMismatchError(f"coords shape {self.coords.shape} is not (auxiliary values, symbols)")
         require_nonnegative(self.epsilon, "epsilon")
-        ref = directions[0].reference
-        for d in directions:
-            if d.reference is not ref and not np.array_equal(
-                d.reference.probs, ref.probs
-            ):
-                raise InputMismatchError("ensemble directions use different references")
         pu = self.u_law.probs
-        coords = np.stack([d.coords for d in directions])
-        second_moment = float(pu @ np.sum(coords**2, axis=1))
-        if abs(second_moment - 1.0) > ENSEMBLE_ATOL:
-            raise InputMismatchError(
-                f"ensemble second moment is {second_moment!r}, not 1"
-            )
-        v0 = ref.sqrt()
-        overlap = float(np.max(np.abs(coords @ v0)))
-        if overlap > ENSEMBLE_ATOL:
-            raise InputMismatchError(
-                f"a direction overlaps sqrt(P_X) by {overlap!r}"
-            )
-        mean = float(np.max(np.abs(pu @ coords)))
-        if mean > ENSEMBLE_ATOL:
+        second_moment = float(pu @ np.sum(self.coords**2, axis=1))
+        if not abs(second_moment - 1.0) <= ENSEMBLE_ATOL:
+            raise InputMismatchError(f"ensemble second moment is {second_moment!r}, not 1")
+        overlap = float(np.max(np.abs(self.coords @ self.reference.sqrt())))
+        if not overlap <= ENSEMBLE_ATOL:
+            raise InputMismatchError(f"a direction overlaps sqrt(P_X) by {overlap!r}")
+        mean = float(np.max(np.abs(pu @ self.coords)))
+        if not mean <= ENSEMBLE_ATOL:
             raise InputMismatchError(f"ensemble mean deviates from 0 by {mean!r}")
-        object.__setattr__(self, "directions", directions)
 
     @property
-    def reference(self) -> Distribution:
-        return self.directions[0].reference
+    def directions(self) -> tuple[WeightedVector, ...]:
+        """One :class:`WeightedVector` per auxiliary value, rows of ``coords``."""
+        return tuple(WeightedVector(c, self.reference) for c in self.coords)
 
     @property
     def cardinality(self) -> int:
@@ -128,17 +120,12 @@ class PerturbationEnsemble:
     def conditional_family(self, epsilon: float | None = None) -> ConditionalFamily:
         """Materialize the conditionals ``P_X + eps * sqrt(P_X) * psi_u``."""
         eps = self.epsilon if epsilon is None else epsilon
-        base = self.reference.probs
-        root = self.reference.sqrt()
-        kernels = tuple(
-            Distribution(base + eps * root * d.coords) for d in self.directions
-        )
-        return ConditionalFamily(self.u_law, kernels)
+        points = self.reference.probs + eps * self.reference.sqrt() * self.coords
+        return ConditionalFamily(self.u_law, tuple(Distribution(p) for p in points))
 
     def gram(self) -> np.ndarray:
         """Second-moment matrix ``sum_u P_U(u) psi_u psi_u^T``."""
-        coords = np.stack([d.coords for d in self.directions])
-        return (coords.T * self.u_law.probs) @ coords
+        return (self.coords.T * self.u_law.probs) @ self.coords
 
 
 def _antipodal_ensemble(psis, mass, ref: Distribution, epsilon: float) -> PerturbationEnsemble:
@@ -146,9 +133,9 @@ def _antipodal_ensemble(psis, mass, ref: Distribution, epsilon: float) -> Pertur
     sharing its entry of ``mass`` (rescaled to sum to 1) equally."""
     weights = np.repeat(np.asarray(mass, dtype=float) / 2.0, 2)
     weights /= weights.sum()
-    units = [psi / np.linalg.norm(psi) for psi in psis]
-    directions = tuple(WeightedVector(s * u, ref) for u in units for s in (1.0, -1.0))
-    return PerturbationEnsemble(Distribution(weights), directions, epsilon)
+    units = np.stack([psi / np.linalg.norm(psi) for psi in psis])
+    coords = np.stack([units, -units], axis=1).reshape(2 * len(units), -1)
+    return PerturbationEnsemble(Distribution(weights), ref, coords, epsilon)
 
 
 def antipodal_pair_ensemble(psi: np.ndarray, ref: Distribution, epsilon: float) -> PerturbationEnsemble:
@@ -156,7 +143,7 @@ def antipodal_pair_ensemble(psi: np.ndarray, ref: Distribution, epsilon: float) 
     return _antipodal_ensemble([np.asarray(psi, dtype=float)], [1.0], ref, epsilon)
 
 
-@dataclass(frozen=True, eq=False)
+@record()
 class P2PSolution:
     ensemble: PerturbationEnsemble
     rate: float  # nats
@@ -229,7 +216,7 @@ def _maxmin_lp(ratings: np.ndarray):
     return p, w / w.sum()
 
 
-@dataclass(frozen=True, eq=False)
+@record("dual_weights", "gram", "system_values")
 class BroadcastSolution:
     """Max-min common-message coupling across K receivers.
 
@@ -249,11 +236,6 @@ class BroadcastSolution:
     gram: np.ndarray
     system_values: np.ndarray
     rounds: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "dual_weights", _freeze(self.dual_weights))
-        object.__setattr__(self, "gram", _freeze(self.gram))
-        object.__setattr__(self, "system_values", _freeze(self.system_values))
 
     @property
     def cardinality(self) -> int:
@@ -335,7 +317,7 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@record("psi")
 class SingleDirectionResult:
     """Best single coupling direction shared by all receivers.
 
@@ -348,9 +330,6 @@ class SingleDirectionResult:
     value: float
     psi: np.ndarray
     optimality_gap: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", _freeze(self.psi))
 
 
 def _worst_values(forms: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -487,14 +466,11 @@ class DiagonalInstance:
         object.__setattr__(self, "thetas", tuple(_freeze(t) for t in thetas))
 
 
-@dataclass(frozen=True, eq=False)
+@record("c_star")
 class DiagonalMaxMinResult:
     c_star: np.ndarray
     support: tuple
     value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "c_star", _freeze(self.c_star))
 
 
 def diagonal_maxmin(inst: DiagonalInstance, target_levels=None) -> DiagonalMaxMinResult:
@@ -575,7 +551,7 @@ def build_mac_dtms(joint: np.ndarray, input_dists) -> list[Dtm]:
     return [build_dtm(w, px) for w, px in zip(channels, input_dists)]
 
 
-@dataclass(frozen=True, eq=False)
+@record("stacked_vector", "block_orthogonality_residuals", "private_sigmas")
 class MacSolution:
     """Common-source coupling across transmitters of a multiple access
     channel.
@@ -594,15 +570,6 @@ class MacSolution:
     block_orthogonality_residuals: np.ndarray
     gain_db: float
     private_sigmas: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "stacked_vector", _freeze(self.stacked_vector))
-        object.__setattr__(
-            self,
-            "block_orthogonality_residuals",
-            _freeze(self.block_orthogonality_residuals),
-        )
-        object.__setattr__(self, "private_sigmas", _freeze(self.private_sigmas))
 
 
 def _blocks(vector: np.ndarray, sizes) -> list[np.ndarray]:

@@ -19,7 +19,6 @@ order, so a seed gives the same reports as drawing each symbol alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +30,10 @@ from .errors import (
     RegimeError,
 )
 from .instances import nested_ternary_channel, nested_ternary_operating_point
-from .prob import Distribution, _freeze, is_count, require_nonnegative
+from .prob import Distribution, is_count, record, require_nonnegative
 
 
-@dataclass(frozen=True, eq=False)
+@record("direction")
 class LayerRecord:
     """One layer of a plan: where it operates and how it perturbs.
 
@@ -51,9 +50,6 @@ class LayerRecord:
     restricted_support: tuple
     sigma: float
     rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", _freeze(self.direction))
 
     def conditional(self, bit: int) -> Distribution:
         sign = 1.0 if bit == 0 else -1.0
@@ -104,7 +100,7 @@ def greedy_layer(
     )
 
 
-@dataclass(frozen=True, eq=False)
+@record()
 class LayerPlan:
     """An ordered stack of layers; ``total_rate`` weighs their rates by occupancy.
 
@@ -178,7 +174,7 @@ def plan_ternary_two_layer(eta: float, gamma: float) -> LayerPlan:
     return LayerPlan(layers=(layer1, layer2), occupancies=(1.0, 0.5), branch_bits=(1,))
 
 
-@dataclass(frozen=True, eq=False)
+@record()
 class BlockCodeConfig:
     """Block sizes and trial budget for the layered simulation.
 
@@ -205,7 +201,7 @@ class BlockCodeConfig:
             raise ConfigurationError("two-layer plans require n2 * k2 == n1")
 
 
-@dataclass(frozen=True, eq=False)
+@record()
 class SimulationReport:
     """Bit error rates and plug-in information estimates per layer."""
 

@@ -30,7 +30,7 @@ from .errors import (
     ResolutionError,
     SingularWeightError,
 )
-from .prob import Distribution, _freeze, _kl, is_count, require_positive
+from .prob import Distribution, _kl, is_count, record, require_positive
 
 ACE_MAX_ITERATIONS = 100_000
 ACE_TOL = 1e-12
@@ -69,13 +69,10 @@ def _direction_grid(dim: int, resolution: int) -> np.ndarray:
     raise DimensionMismatchError("angular grids support at most 3 free dimensions")
 
 
-@dataclass(frozen=True, eq=False)
+@record("best_direction")
 class BruteP2PResult:
     best_ratio: float
     best_direction: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "best_direction", _freeze(self.best_direction))
 
 
 def brute_p2p(w: ChannelMatrix, px: Distribution, epsilon: float, budget: SearchBudget) -> BruteP2PResult:
@@ -213,7 +210,7 @@ def s_ratio_search(w: ChannelMatrix, px: Distribution, budget: SearchBudget) -> 
     return SRatioResult(max(best, local), best, local)
 
 
-@dataclass(frozen=True, eq=False)
+@record()
 class BruteBroadcastResult:
     lambda_estimate: float
     angles: tuple

@@ -39,6 +39,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def record(*arrays: str):
+    """Class decorator for an immutable result record: a frozen dataclass
+    without value equality that stores each field named in ``arrays`` as
+    a read-only float copy, then runs the class's own ``__post_init__``."""
+
+    def wrap(cls):
+        check = cls.__dict__.get("__post_init__", lambda self: None)
+
+        def __post_init__(self):
+            for name in arrays:
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
+            check(self)
+
+        cls.__post_init__ = __post_init__
+        return dataclass(frozen=True, eq=False)(cls)
+
+    return wrap
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A probability vector over a finite alphabet.
@@ -120,7 +139,7 @@ def require_positive(value: float, what: str) -> float:
     return value
 
 
-@dataclass(frozen=True, eq=False)
+@record("direction")
 class Perturbation:
     """A distribution ``base`` plus a scaled zero-sum direction.
 
@@ -136,21 +155,19 @@ class Perturbation:
     scale: float = 0.0
 
     def __post_init__(self):
-        direction = np.asarray(self.direction, dtype=float)
-        if direction.shape != self.base.probs.shape:
+        if self.direction.shape != self.base.probs.shape:
             raise DimensionMismatchError(
-                f"direction has shape {direction.shape}, base has "
+                f"direction has shape {self.direction.shape}, base has "
                 f"{self.base.probs.shape}"
             )
-        if abs(direction.sum()) > ZERO_SUM_ATOL:
+        if not abs(self.direction.sum()) <= ZERO_SUM_ATOL:  # NaN fails too
             raise InvalidDistributionError(
-                f"direction entries sum to {direction.sum()!r}, not 0"
+                f"direction entries sum to {self.direction.sum()!r}, not 0"
             )
         require_nonnegative(self.scale, "scale")
-        object.__setattr__(self, "direction", _freeze(direction))
 
 
-@dataclass(frozen=True, eq=False)
+@record("coords")
 class WeightedVector:
     """A perturbation direction in weighted coordinates.
 
@@ -163,20 +180,20 @@ class WeightedVector:
     reference: Distribution
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != self.reference.probs.shape:
+        if self.coords.shape != self.reference.probs.shape:
             raise DimensionMismatchError(
-                f"coords have shape {coords.shape}, reference has "
+                f"coords have shape {self.coords.shape}, reference has "
                 f"{self.reference.probs.shape}"
             )
-        object.__setattr__(self, "coords", _freeze(coords))
+        if not np.all(np.isfinite(self.coords)):
+            raise InvalidDistributionError("weighted coordinates must be finite")
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
 
-@dataclass(frozen=True, eq=False)
+@record()
 class ConditionalFamily:
     """A law over an auxiliary variable together with one kernel per value."""
 

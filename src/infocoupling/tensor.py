@@ -12,14 +12,13 @@ exist to verify exactly that, at materializable sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .channel import Dtm, Spectrum, canonical_spectrum
 from .errors import CapacityError, DimensionMismatchError
-from .prob import is_count
+from .prob import is_count, record
 
 KRON_SIZE_CAP = 4096
 MAX_LETTERS = 3
@@ -50,12 +49,12 @@ def kron_power(matrix: np.ndarray, n: int) -> np.ndarray:
     return reduce(lambda acc, _: kron(acc, matrix), range(n - 1), np.asarray(matrix, dtype=float))
 
 
-@dataclass(frozen=True, eq=False)
+@record()
 class LiftedDtm:
     """An n-letter lift of a coupling matrix.
 
     :attr:`matrix` is the Kronecker power, formed by :func:`kron_power`
-    on first use and kept; above ``KRON_SIZE_CAP`` it raises
+    on first use and kept read-only; above ``KRON_SIZE_CAP`` it raises
     :class:`CapacityError`.  :meth:`apply` always works, multiplying by
     the base matrix one letter index at a time.
     """
@@ -65,7 +64,10 @@ class LiftedDtm:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return kron_power(self.base.matrix, self.letters)
+        # flagged rather than copied: at the size cap a copy would double it
+        out = kron_power(self.base.matrix, self.letters)
+        out.flags.writeable = False
+        return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the lift to a vector over the n-letter input alphabet
@@ -96,12 +98,9 @@ def kron_pair_residual(dtm: Dtm, i: int, j: int) -> float:
     lift with singular value ``sigma_i * sigma_j`` and left vector
     ``w_i (x) w_j``; returns the Euclidean norm of the defect.
     """
-    s = dtm.spectrum
-    if not (0 <= i < len(s) and 0 <= j < len(s)):
-        raise DimensionMismatchError("singular index out of range")
-    v = np.kron(s.right_vectors[:, i], s.right_vectors[:, j])
-    w = np.kron(s.left_vectors[:, i], s.left_vectors[:, j])
-    sigma = float(s.singular_values[i] * s.singular_values[j])
+    v = np.kron(dtm.right_vector(i), dtm.right_vector(j))
+    w = np.kron(dtm.left_vector(i), dtm.left_vector(j))
+    sigma = float(dtm.singular_values[i] * dtm.singular_values[j])
     return float(np.linalg.norm(lift_dtm(dtm, 2).apply(v) - sigma * w))
 
 
@@ -126,7 +125,7 @@ def second_singular_of_power(dtm: Dtm, n: int) -> float:
     return float(values[1]) if values.size > 1 else 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@record("components")
 class ProductFormDecomposition:
     """Least-squares split of an n-letter weighted vector into single
     active letters.
@@ -148,10 +147,10 @@ def product_form_projector(psi: np.ndarray, base_v0: np.ndarray) -> ProductFormD
     psi = np.asarray(psi, dtype=float)
     v0 = np.asarray(base_v0, dtype=float)
     nx = v0.size
-    n = round(math.log(psi.size, nx))
-    if nx**n != psi.size:
+    n = round(math.log(psi.size, nx)) if psi.size >= nx > 1 else 0
+    if n < 1 or nx**n != psi.size:
         raise DimensionMismatchError(
-            f"vector length {psi.size} is not a power of the base size {nx}"
+            f"vector length {psi.size} is not a positive power of the base size {nx}"
         )
     if n > MAX_LETTERS:
         raise CapacityError(f"letter count {n} above the supported maximum {MAX_LETTERS}")

@@ -63,6 +63,15 @@ class TestSpectrumCommand:
         )
         assert main(["spectrum", str(spec)]) == EXIT_DEGENERATE
 
+    @pytest.mark.parametrize("name", ["windmill_delta01.json", "adder_mac.json"])
+    def test_spectrum_of_a_spec_of_the_wrong_kind(self, name, capsys):
+        # a well-formed multi-channel or MAC spec is a constraint violation, as in couple --mode p2p
+        code = main(["spectrum", str(SPEC_DIR / name)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONSTRAINT
+        assert captured.out == ""
+        assert captured.err == "constraint violation: spectrum expects a single-channel spec\n"
+
 
 class TestCoupleCommand:
     def test_p2p_zero_epsilon(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 from infocoupling import (
     DiagonalInstance,
     Distribution,
+    PerturbationEnsemble,
     build_dtm,
     build_mac_dtms,
     diagonal_maxmin,
@@ -22,7 +23,12 @@ from infocoupling import (
     superposition_information,
     valid_plane_basis,
 )
-from infocoupling.errors import DegenerateOutputError, InfeasibleError, InputMismatchError
+from infocoupling.errors import (
+    DegenerateOutputError,
+    DimensionMismatchError,
+    InfeasibleError,
+    InputMismatchError,
+)
 from infocoupling.oracles import SearchBudget, brute_broadcast
 
 WINDMILL_SIGMA_SQ = (2.0 / 3.0) * 0.64  # delta = 0.1
@@ -501,3 +507,59 @@ class TestSingleDirectionReuse:
         sol = solve_broadcast(dtms[:2])
         with pytest.raises(InputMismatchError):
             solve_broadcast_single_direction(dtms, sol)
+
+
+class TestEnsembleValidation:
+    """Each check of ``PerturbationEnsemble``, on the ternary point with
+    ``v0 = sqrt(P_X)`` and ``v1`` its best coupling direction."""
+
+    @pytest.fixture
+    def parts(self, ternary_dtm):
+        return ternary_dtm.input, ternary_dtm.right_vector(0), ternary_dtm.right_vector(1)
+
+    def test_antipodal_pair_is_valid(self, parts):
+        px, _, v1 = parts
+        ens = PerturbationEnsemble(Distribution([0.5, 0.5]), px, np.stack([v1, -v1]), 0.1)
+        assert ens.cardinality == 2
+        assert [d.reference for d in ens.directions] == [px, px]
+        assert np.array_equal(np.stack([d.coords for d in ens.directions]), ens.coords)
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (2, 2)])
+    def test_coords_shape(self, parts, rows, cols):
+        px, _, v1 = parts
+        coords = np.resize(np.stack([v1, -v1]), (rows, cols))
+        with pytest.raises(DimensionMismatchError, match="coords shape"):
+            PerturbationEnsemble(Distribution([0.5, 0.5]), px, coords, 0.1)
+
+    def test_second_moment(self, parts):
+        px, _, v1 = parts
+        with pytest.raises(InputMismatchError, match="second moment"):
+            PerturbationEnsemble(Distribution([0.5, 0.5]), px, np.stack([2 * v1, -2 * v1]), 0.1)
+
+    def test_overlap_with_sqrt_px(self, parts):
+        px, v0, v1 = parts
+        u = (v0 + v1) / math.sqrt(2.0)  # unit norm, antipodal, so only the overlap is wrong
+        with pytest.raises(InputMismatchError, match="overlaps"):
+            PerturbationEnsemble(Distribution([0.5, 0.5]), px, np.stack([u, -u]), 0.1)
+
+    def test_mean(self, parts):
+        px, _, v1 = parts
+        with pytest.raises(InputMismatchError, match="mean"):
+            PerturbationEnsemble(Distribution([0.5, 0.5]), px, np.stack([v1, v1]), 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coords(self, parts, bad):
+        px, _, v1 = parts
+        coords = np.stack([v1, -v1])
+        coords[0, 0] = bad
+        with pytest.raises(InputMismatchError):
+            PerturbationEnsemble(Distribution([0.5, 0.5]), px, coords, 0.1)
+
+    def test_coords_are_read_only_copies(self, parts):
+        px, _, v1 = parts
+        coords = np.stack([v1, -v1])
+        ens = PerturbationEnsemble(Distribution([0.5, 0.5]), px, coords, 0.1)
+        coords[0] = 0.0
+        assert np.array_equal(ens.coords[0], v1)
+        with pytest.raises(ValueError):
+            ens.coords[0, 0] = 0.0

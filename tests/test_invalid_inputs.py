@@ -15,6 +15,7 @@ from infocoupling import (
     Distribution,
     Perturbation,
     SearchBudget,
+    WeightedVector,
     ace_correlation,
     antipodal_pair_ensemble,
     brute_p2p,
@@ -22,6 +23,7 @@ from infocoupling import (
     greedy_layer,
     lift_dtm,
     plan_ternary_two_layer,
+    product_form_projector,
     s_ratio_search,
     simulate_layered,
     solve_broadcast,
@@ -195,3 +197,30 @@ class TestOneSymbolAlphabet:
             brute_p2p(w, px, 1e-3, SearchBudget(grid_resolution=16))
         with pytest.raises(DimensionMismatchError, match="one-symbol alphabet has no perturbation direction"):
             s_ratio_search(w, px, SearchBudget(grid_resolution=16))
+
+
+class TestBoundaryEscapes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_direction(self, bad, ternary_point):
+        # a NaN direction constructed, and local_kl then returned nan
+        with pytest.raises(InvalidDistributionError):
+            Perturbation(ternary_point, [bad, 0.0, 0.0], 0.1)
+        with pytest.raises(InvalidDistributionError):
+            WeightedVector([bad, 0.0, 0.0], ternary_point)
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_product_form_needs_a_letter(self, size, ternary_dtm):
+        # a length-1 vector leaked numpy's ValueError from an empty stack
+        with pytest.raises(DimensionMismatchError):
+            product_form_projector(np.ones(size), ternary_dtm.right_vector(0))
+
+    @pytest.mark.parametrize("i", [3, 7, 1.0, "1"])
+    def test_singular_index_out_of_range(self, i, ternary_dtm):
+        # 7 on a 3-symbol input leaked an IndexError
+        with pytest.raises(DimensionMismatchError, match="singular index"):
+            ternary_dtm.right_vector(i)
+        with pytest.raises(DimensionMismatchError, match="singular index"):
+            ternary_dtm.left_vector(i)
+
+    def test_singular_index_accepts_numpy_integers(self, ternary_dtm):
+        assert np.array_equal(ternary_dtm.right_vector(np.int64(2)), ternary_dtm.right_vector(2))

@@ -6,6 +6,7 @@ import pytest
 from infocoupling import (
     BlockCodeConfig,
     Distribution,
+    LayerPlan,
     greedy_layer,
     instances,
     plan_ternary_two_layer,
@@ -154,6 +155,35 @@ class TestSimulation:
     def test_block_structure_validation(self):
         with pytest.raises(ConfigurationError):
             BlockCodeConfig(n1=100, k1=10, n2=30, k2=4, trials=5, seed=0)
+
+
+class TestPlanValidation:
+    """Each ``ConfigurationError`` of ``LayerPlan``, from the layers of the
+    ternary two-layer plan (layer two continues from bit 1 of layer one)."""
+
+    def test_the_shipped_plan_replays(self, plan):
+        again = LayerPlan(plan.layers, plan.occupancies, plan.branch_bits)
+        assert again.replay_residual() == 0.0
+        assert again.total_rate == plan.total_rate
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_layer_count(self, plan, count):
+        layers = (plan.layers * 2)[:count]
+        with pytest.raises(ConfigurationError, match="one or two layers"):
+            LayerPlan(layers, (1.0,) * count, (1,) * max(0, count - 1))
+
+    def test_occupancies(self, plan):
+        with pytest.raises(ConfigurationError, match="occupancy"):
+            LayerPlan(plan.layers, (1.0,), (1,))
+
+    def test_branch_bits(self, plan):
+        with pytest.raises(ConfigurationError, match="branch bit"):
+            LayerPlan(plan.layers, plan.occupancies, ())
+
+    def test_replay_residual(self, plan):
+        # bit 0 of layer one reaches the vertex [1, 0, 0], not layer two's edge point
+        with pytest.raises(ConfigurationError, match="do not replay"):
+            LayerPlan(plan.layers, plan.occupancies, (0,))
 
 
 def _reference_simulation(plan, w, cfg):

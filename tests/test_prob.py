@@ -16,6 +16,7 @@ from infocoupling import (
     to_weighted,
     weighted_inner,
 )
+from infocoupling.prob import record
 from infocoupling.errors import (
     DimensionMismatchError,
     InvalidDistributionError,
@@ -246,3 +247,32 @@ class TestLocalApproximationQuality:
                 q = Distribution(px.probs + eps * j)
                 gap = abs(kl_divergence(px, q) - kl_divergence(q, px))
                 assert gap <= (2.0 * c + 1e-9) * eps**3
+
+
+class TestRecord:
+    def test_arrays_frozen_before_the_own_check(self):
+        seen = []
+
+        @record("values")
+        class Pair:
+            values: np.ndarray
+            label: str
+
+            def __post_init__(self):
+                seen.append((self.values.dtype, self.values.flags.writeable))
+
+        source = np.array([1, 2])
+        pair = Pair(source, "a")
+        assert seen == [(np.dtype(float), False)]
+        source[0] = 7
+        assert pair.values.tolist() == [1.0, 2.0]
+        with pytest.raises(AttributeError):
+            pair.label = "b"
+        assert pair != Pair(source, "a")  # identity, not value, equality
+
+    def test_without_own_check(self):
+        @record("values")
+        class Only:
+            values: np.ndarray
+
+        assert not Only([0.5]).values.flags.writeable

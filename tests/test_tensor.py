@@ -158,6 +158,20 @@ class TestProductFormProjector:
         assert dec.residual <= 1e-8
 
 
+class TestReadOnlyResults:
+    def test_lift_and_decomposition_reject_writes(self, ternary_dtm):
+        # a write to the cached lift used to change every later read of it
+        lift = lift_dtm(ternary_dtm, 2)
+        before = lift.matrix.copy()
+        v0 = ternary_dtm.right_vector(0)
+        dec = product_form_projector(np.kron(v0, ternary_dtm.right_vector(1)), v0)
+        with pytest.raises(ValueError):
+            lift.matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            dec.components[0, 0] = 5.0
+        assert np.array_equal(lift.matrix, before)
+
+
 class TestLiftAboveCap:
     def test_apply_works_and_matrix_refuses(self, rng):
         # 17**3 = 4913 input letters: above the Kronecker cap of 4096
