@@ -28,9 +28,9 @@ feeding a multiple access channel the per-transmitter coupling matrices,
 each restricted to its valid plane, stack side by side and one top
 singular pair answers the question, coherent combining gain included.
 
-The linear programs are scipy's HiGHS, looked up as
-``scipy.optimize.linprog`` at each call: ``scipy.optimize`` is loaded on
-the first LP, so point-to-point and MAC work never imports it.
+The linear programs go through one dense revised simplex in numpy,
+which the column generation warm-starts from the last round's optimal
+basis: new columns enter at 0, so that basis stays feasible.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .channel import (
     ChannelMatrix, Dtm, build_dtm, canonical_sign, renyi_correlation, unit_columns, valid_plane_basis,
@@ -73,6 +72,9 @@ PRICING_STEPS = (0.25, 0.5, 0.75, 1.0)
 MAC_PRIVATE_FLOOR = 1e-12
 VALUE_ATOL = 1e-15
 ASCENT_SWEEPS = 1000
+SIMPLEX_TOL = 1e-12
+PIVOT_TOL = 1e-11
+SIMPLEX_PIVOTS = 1000
 
 
 @record("coords")
@@ -189,31 +191,94 @@ def _plane_forms(dtms):
     return px, q, 0.5 * (forms + forms.transpose(0, 2, 1))
 
 
-def _maxmin_lp(ratings: np.ndarray):
+def _simplex(a, b, c, basis=None):
+    """Dense revised simplex: ``min c @ x`` subject to ``a @ x = b`` and
+    ``x >= 0``.
+
+    ``basis`` lists one column per row whose basic solution is feasible.
+    Without one, a phase 1 over one artificial column per row finds a
+    basis or raises :class:`InfeasibleError`; artificial columns still
+    basic after it sit at 0 and block any step that would move them.
+    Dantzig's rule picks the most negative reduced cost to enter and,
+    among the rows tied in the ratio test, the largest pivot to leave.
+    Once a basis comes back, the phase goes on under Bland's
+    smallest-index rule, which cannot cycle in exact arithmetic; a basis
+    that comes back under Bland's rule means that the reduced costs are
+    roundoff, and the phase ends there.  Returns the solution, the duals
+    ``y`` with ``B^T y = c_B``, the optimal basis and the pivot count;
+    raises :class:`BudgetError` after ``SIMPLEX_PIVOTS`` pivots.
+    """
+    m, n = a.shape
+    if basis is None:
+        a = np.hstack([a, np.diag(np.where(b < 0, -1.0, 1.0))])
+        phases = [np.r_[np.zeros(n), np.ones(m)], np.r_[c, np.zeros(m)]]
+        basis = range(n, n + m)
+    else:
+        phases = [np.asarray(c, dtype=float)]
+    basis, pivots = np.array(basis), 0
+    for phase, cost in enumerate(phases):
+        stuck = phase > 0  # artificial columns after a phase 1
+        bland, seen = False, set()
+        while True:
+            binv = np.linalg.inv(a[:, basis])
+            x_b, y = binv @ b, cost[basis] @ binv
+            reduced = cost - y @ a
+            reduced[basis] = 0.0
+            if stuck:
+                reduced[n:] = 0.0
+            entering = np.nonzero(reduced < -SIMPLEX_TOL)[0]
+            if entering.size == 0:
+                break
+            key = frozenset(basis.tolist())
+            if key in seen:
+                if bland:
+                    break
+                bland, seen = True, set()
+            seen.add(key)
+            if pivots == SIMPLEX_PIVOTS:
+                raise BudgetError(f"simplex used its {SIMPLEX_PIVOTS} pivots", best_gap=None)
+            q = entering[0] if bland else entering[np.argmin(reduced[entering])]
+            d = binv @ a[:, q]
+            blocks = (d > PIVOT_TOL) | (stuck & (basis >= n) & (d < -PIVOT_TOL))
+            if not blocks.any():
+                raise BudgetError("linear program is unbounded", best_gap=None)
+            ratios = np.full(m, np.inf)
+            ratios[blocks] = np.maximum(x_b[blocks], 0.0) / np.abs(d[blocks])
+            ties = np.nonzero(ratios <= ratios.min() + SIMPLEX_TOL)[0]
+            r = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(np.abs(d[ties]))]
+            basis[r] = q
+            pivots += 1
+        if phase + 1 < len(phases) and cost[basis] @ x_b > SIMPLEX_TOL * max(1.0, np.max(np.abs(b))):
+            raise InfeasibleError("the linear program has no feasible point")
+    x = np.zeros(n)
+    real = basis < n
+    x[basis[real]] = x_b[real]
+    return x, y, basis, pivots
+
+
+def _maxmin_lp(ratings: np.ndarray, basis=None):
     """``max_p min_i (ratings @ p)_i`` over the probability simplex.
 
-    Returns the optimal mixture ``p`` and the LP's dual weights over the
-    rows, which lie on the simplex as well.
+    The columns are ``t``, one slack per row, then ``p``; the rows are
+    ``ratings @ p - t - s = 0`` and ``sum(p) = 1``.  Without a ``basis``
+    the simplex starts from the column with the best worst rating, ``t``
+    and every slack but that of the column's worst row, a feasible
+    vertex (ratings are non-negative, so ``t`` is too; it carries the
+    whole cost, so every pivot raises it and it never leaves).  Appending
+    columns keeps an old optimal basis feasible, so a caller that adds
+    columns passes the last one back as a warm start.
+    Returns the optimal mixture ``p``, the dual weights over the rows
+    (on the simplex as well), the optimal basis and the pivot count.
     """
     k, n = ratings.shape
-    c_vec = np.zeros(n + 1)
-    c_vec[-1] = -1.0
-    res = scipy.optimize.linprog(
-        c_vec,
-        A_ub=np.hstack([-ratings, np.ones((k, 1))]),
-        b_ub=np.zeros(k),
-        A_eq=np.hstack([np.ones((1, n)), np.zeros((1, 1))]),
-        b_eq=np.ones(1),
-        bounds=[(0, None)] * n + [(None, None)],
-        method="highs-ds",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-    )
-    if not res.success:
-        raise BudgetError(f"max-min linear program failed: {res.message}", best_gap=None)
-    p = np.maximum(res.x[:n], 0.0)
-    p /= p.sum()
-    w = np.abs(np.asarray(res.ineqlin.marginals))
-    return p, w / w.sum()
+    a = np.block([[-np.ones((k, 1)), -np.eye(k), ratings], [np.zeros((1, k + 1)), np.ones((1, n))]])
+    if basis is None:
+        j = int(np.argmax(ratings.min(axis=0)))
+        basis = [0, *np.delete(np.arange(1, k + 1), np.argmin(ratings[:, j])), k + 1 + j]
+    x, y, basis, pivots = _simplex(a, np.r_[np.zeros(k), 1.0], np.r_[-1.0, np.zeros(k + n)], basis)
+    p = np.maximum(x[k + 1 :], 0.0)
+    w = np.maximum(y[:k], 0.0)
+    return p / p.sum(), w / w.sum(), basis, pivots
 
 
 @record("dual_weights", "gram", "system_values")
@@ -225,7 +290,8 @@ class BroadcastSolution:
     second-moment matrix (PSD, unit trace, annihilates ``sqrt(P_X)``)
     and ``ensemble`` realizes it with antipodal direction pairs, so the
     auxiliary cardinality is at most twice the Gram rank.  ``rounds``
-    counts the linear programs solved on the way.
+    counts the linear programs solved on the way and ``pivots`` their
+    simplex pivots.
     """
 
     value: float
@@ -236,6 +302,7 @@ class BroadcastSolution:
     gram: np.ndarray
     system_values: np.ndarray
     rounds: int
+    pivots: int
 
     @property
     def cardinality(self) -> int:
@@ -253,7 +320,8 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     Solves the Gram relaxation exactly by column generation.  Each round
     solves the max-min linear program over mixtures of the rank-one
     columns found so far (one per receiver's top eigenvector to start);
-    the mixture is a primal Gram matrix.  For any simplex point ``x`` the
+    the mixture is a primal Gram matrix, and each round's LP starts from
+    the last round's optimal basis.  For any simplex point ``x`` the
     largest eigenvalue of ``sum_i x_i H_i`` bounds the optimum from above.
     The first round queries it at the LP's dual weights ``w``; later
     rounds query it at ``(1 - t) w* + t w`` for each ``t`` in
@@ -270,9 +338,10 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     px, q, forms = _plane_forms(dtms)
     cols = np.stack([np.linalg.eigh(h)[1][:, -1] for h in forms])
     ratings = _ratings(forms, cols)
-    primal, dual = -math.inf, math.inf
+    primal, dual, basis, pivots = -math.inf, math.inf, None, 0
     for rounds in range(1, CG_ROUNDS + 1):
-        p, w = _maxmin_lp(ratings)
+        p, w, basis, used = _maxmin_lp(ratings, basis)
+        pivots += used
         m = (cols.T * p) @ cols
         m = 0.5 * (m + m.T)
         m /= np.trace(m)
@@ -314,6 +383,7 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
         gram=gram_full,
         system_values=system_values,
         rounds=rounds,
+        pivots=pivots,
     )
 
 
@@ -463,6 +533,8 @@ class DiagonalInstance:
                 raise DimensionMismatchError("diagonal systems must share one length")
             if not np.all(np.isfinite(t)) or np.any(t < 0):
                 raise InfeasibleError("diagonal entries must be finite and non-negative")
+            if np.any(t > math.sqrt(np.finfo(float).max)):
+                raise InfeasibleError("diagonal entries must have finite squares")
         object.__setattr__(self, "thetas", tuple(_freeze(t) for t in thetas))
 
 
@@ -479,11 +551,14 @@ def diagonal_maxmin(inst: DiagonalInstance, target_levels=None) -> DiagonalMaxMi
     On squared coordinates every quadratic form is linear, so both the
     max-min problem and the equality-constrained variant (fix the first
     systems at ``target_levels``, maximize the last) are linear programs
-    over the simplex.  A vertex optimum is requested, which bounds the
-    support size by the number of systems.
+    over the simplex, solved on squares scaled to at most 1.  The
+    variant's phase 1 raises :class:`InfeasibleError` when no unit vector
+    attains the levels.  The optimum is a vertex, so its support has at
+    most one entry per system.
     """
     squares = np.stack([t**2 for t in inst.thetas])
     k, m = squares.shape
+    scale = float(np.max(squares)) or 1.0
     if target_levels is not None:
         levels = np.asarray(target_levels, dtype=float)
         if levels.size != k - 1:
@@ -492,22 +567,16 @@ def diagonal_maxmin(inst: DiagonalInstance, target_levels=None) -> DiagonalMaxMi
             )
         if not np.all(np.isfinite(levels)):
             raise InfeasibleError("target levels must be finite")
-        res = scipy.optimize.linprog(
-            -squares[-1],
-            A_eq=np.vstack([squares[:-1], np.ones((1, m))]),
-            b_eq=np.concatenate([levels, [1.0]]),
-            bounds=[(0, None)] * m,
-            method="highs-ds",
+        s, _, _, _ = _simplex(
+            np.vstack([squares[:-1] / scale, np.ones((1, m))]),
+            np.append(levels.ravel() / scale, 1.0),
+            -squares[-1] / scale,
         )
-        if res.status == 2:
-            raise InfeasibleError("no unit vector attains the requested levels")
-        if not res.success:
-            raise BudgetError("diagonal linear program failed")
-        s = np.maximum(res.x, 0.0)
+        s = np.maximum(s, 0.0)
         value = float(squares[-1] @ s)
         s /= s.sum()
     else:
-        s, _ = _maxmin_lp(squares)
+        s = _maxmin_lp(squares / scale)[0]
         value = float(np.min(squares @ s))
     support = tuple(int(i) for i in np.nonzero(s > 1e-12)[0])
     return DiagonalMaxMinResult(c_star=np.sqrt(s), support=support, value=value)

@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .channel import Dtm, Spectrum, canonical_spectrum
-from .errors import CapacityError, DimensionMismatchError
+from .errors import CapacityError, DimensionMismatchError, InvalidDistributionError
 from .prob import is_count, record
 
 KRON_SIZE_CAP = 4096
@@ -146,6 +146,8 @@ def product_form_projector(psi: np.ndarray, base_v0: np.ndarray) -> ProductFormD
     products ``v0 (x) ... (x) c_k (x) ... (x) v0``."""
     psi = np.asarray(psi, dtype=float)
     v0 = np.asarray(base_v0, dtype=float)
+    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(v0))):
+        raise InvalidDistributionError("psi and base_v0 must be finite")
     nx = v0.size
     n = round(math.log(psi.size, nx)) if psi.size >= nx > 1 else 0
     if n < 1 or nx**n != psi.size:

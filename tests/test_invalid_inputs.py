@@ -108,6 +108,13 @@ class TestDiagonalMaxMin:
         with pytest.raises(DimensionMismatchError):
             DiagonalInstance(thetas)
 
+    @pytest.mark.parametrize("entry", [1e200, 1.4e154])
+    def test_entries_with_overflowing_squares_rejected(self, entry):
+        # 1e200 passed validation and overflowed in t**2
+        with pytest.raises(InfeasibleError):
+            DiagonalInstance((np.array([entry, 1.0]), np.array([0.5, 0.5])))
+        assert diagonal_maxmin(DiagonalInstance((np.array([1e154, 1.0]),))).value == pytest.approx(1e308)
+
 
 class TestOracleShapes:
     @pytest.mark.parametrize(
@@ -213,6 +220,15 @@ class TestBoundaryEscapes:
         # a length-1 vector leaked numpy's ValueError from an empty stack
         with pytest.raises(DimensionMismatchError):
             product_form_projector(np.ones(size), ternary_dtm.right_vector(0))
+
+    @pytest.mark.parametrize("argument", ["psi", "base_v0"])
+    def test_product_form_rejects_nan(self, argument, ternary_dtm):
+        # a NaN psi gave all-NaN components; a NaN base_v0 leaked LinAlgError
+        v0 = ternary_dtm.right_vector(0)
+        args = {"psi": np.kron(v0, v0), "base_v0": v0.copy()}
+        args[argument][1] = math.nan
+        with pytest.raises(InvalidDistributionError):
+            product_form_projector(args["psi"], args["base_v0"])
 
     @pytest.mark.parametrize("i", [3, 7, 1.0, "1"])
     def test_singular_index_out_of_range(self, i, ternary_dtm):

@@ -1,9 +1,11 @@
-"""``scipy.optimize`` is loaded on the first linear program, not on import.
+"""The package runs on numpy alone: no command imports scipy.
 
-Only the broadcast solvers and ``diagonal_maxmin`` solve an LP, so a CLI
-command that runs neither must finish without importing
-``scipy.optimize``.  The LP is looked up as ``scipy.optimize.linprog`` at
-call time, so a wrapper installed there after import sees every solve.
+Only the broadcast solvers and ``diagonal_maxmin`` solve a linear
+program, and both go through the package's own simplex, looked up as
+``coupling._simplex`` at call time, so a wrapper installed there sees
+every solve.  A CLI command that runs neither must not even load
+``scipy.optimize``, and every command must succeed in an interpreter
+that refuses to import scipy at all.
 """
 
 import json
@@ -13,9 +15,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.optimize
 
-from infocoupling import DiagonalInstance, diagonal_maxmin, solve_broadcast
+from infocoupling import DiagonalInstance, coupling, diagonal_maxmin, solve_broadcast
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC_DIR = ROOT / "specs"
@@ -32,22 +33,45 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps({"codes": codes, "loaded": states}))
 """
 
+NO_SCIPY = """
+import sys
 
-def optimize_loaded_after(*argvs):
-    """Run ``cli.main`` on each argv in one fresh interpreter; return the
-    exit codes and whether ``scipy.optimize`` was loaded after the import
-    and after each command."""
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was not refused")
+"""
+
+
+def run_child(code, *argvs):
+    """Run ``code`` with the argvs as JSON in ``sys.argv[1]`` in one fresh
+    interpreter on this checkout; return its parsed JSON output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(list(argvs))],
+        [sys.executable, "-c", code, json.dumps(list(argvs))],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
         check=True,
     )
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def optimize_loaded_after(*argvs):
+    """Run ``cli.main`` on each argv in one fresh interpreter; return the
+    exit codes and whether ``scipy.optimize`` was loaded after the import
+    and after each command."""
+    out = run_child(CHILD, *argvs)
     return out["codes"], out["loaded"]
 
 
@@ -64,23 +88,27 @@ def test_commands_without_an_lp_never_load_optimize():
     assert loaded == [False] * (len(argvs) + 1)
 
 
-def test_broadcast_loads_optimize_on_its_first_lp():
-    codes, loaded = optimize_loaded_after(
-        ["couple", str(SPEC_DIR / "windmill_delta01.json"), "--mode", "broadcast"]
-    )
-    assert codes == [0]
-    assert loaded == [False, True]
+def test_every_command_runs_where_scipy_cannot_be_imported():
+    from test_golden_reports import CASES
+
+    argvs = [
+        *CASES.values(),
+        ["couple", str(SPEC_DIR / "windmill_delta01.json"), "--mode", "broadcast", "--single-direction"],
+        ["verify", "--suite", "oracle", "--budget", "20"],
+        ["layered", "--eta", "0.2", "--gamma", "0.1", "--simulate", "--trials", "20"],
+    ]
+    assert run_child(NO_SCIPY + CHILD, *argvs)["codes"] == [0] * len(argvs)
 
 
-def test_every_lp_goes_through_scipy_optimize_linprog(monkeypatch, windmill_dtms):
+def test_every_lp_is_one_simplex_solve(monkeypatch, windmill_dtms):
     calls = []
-    original = scipy.optimize.linprog
+    original = coupling._simplex
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    monkeypatch.setattr(coupling, "_simplex", counting)
 
     sol = solve_broadcast(windmill_dtms, 0.01)
     assert len(calls) == sol.rounds > 0
