@@ -5,7 +5,7 @@ Each receiver of the windmill channel projects input perturbations onto
 one line in the valid plane, the three lines 120 degrees apart.  Any one
 direction leaves some receiver with at most a quarter of the single-user
 coupling; a uniform three-direction ensemble (or, equivalently, coding
-over three letters) lifts the worst receiver to one half.
+over two letters) lifts the worst receiver to one half.
 """
 
 import numpy as np

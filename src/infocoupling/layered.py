@@ -12,8 +12,9 @@ The Monte Carlo simulator encodes layer bits as sub-block compositions
 (largest-remainder type rounding), pushes every symbol through the
 channel, and decodes each sub-block by minimum divergence between its
 empirical output distribution and the candidate outputs, layer by layer.
-Channel draws are batched over runs of sub-blocks in the symbol-by-symbol
-order, so a seed gives the same reports as drawing each symbol alone.
+A trial makes one ``integers`` call and at most one ``multinomial``, plus one
+of each per sub-block that layer two continues, in the symbol-by-symbol
+order: a seed gives the same reports as drawing each symbol alone.
 """
 
 from __future__ import annotations
@@ -70,11 +71,14 @@ def greedy_layer(
     carry no mass elsewhere; the channel is restricted to the support
     columns and the reduced coupling matrix built there.  Returns the
     second right singular vector translated back to an unweighted
-    direction on the full alphabet.  ``epsilon`` must be finite and non-negative.
+    direction on the full alphabet.  ``epsilon`` must be finite and
+    non-negative, ``support`` distinct input symbols (numpy integers included).
     """
     require_nonnegative(epsilon, "epsilon")
-    if support is None:
-        support = tuple(range(w.input_size))
+    support = tuple(range(w.input_size) if support is None else support)
+    symbols = all(is_count(i, 0) and i < w.input_size for i in support)
+    if not symbols or len(set(support)) < len(support):
+        raise DimensionMismatchError(f"support {support!r} must be distinct symbols of range({w.input_size})")
     support = tuple(sorted(int(i) for i in support))
     if len(support) < 2:
         raise DegenerateLayerError("a layer needs at least two usable symbols")
@@ -269,75 +273,64 @@ def simulate_layered(plan: LayerPlan, w: ChannelMatrix, cfg: BlockCodeConfig) ->
     bit as an error.  Information estimates pair each layer's true bits
     with the outputs of the symbols that layer occupies.
 
-    One ``multinomial`` call draws a run of sub-blocks symbol by symbol,
-    in the order of one call per symbol, so seeded results are those of
-    the symbol-by-symbol draw; each trial is then decoded at once.
+    Per trial: ``integers(k1)``, one ``multinomial`` for the sub-blocks
+    before the first branch sub-block (one that layer two continues), then
+    per branch sub-block ``integers(k2)`` and one ``multinomial`` for its
+    small sub-blocks and the sub-blocks up to the next branch.  Seeded
+    results are those of drawing each symbol alone.
     """
-    if len(plan.layers) == 2 and cfg.n2 is None:
+    two = len(plan.layers) == 2
+    if two and cfg.n2 is None:
         raise ConfigurationError("two-layer plans need n2 and k2 in the config")
     rng = np.random.default_rng(cfg.seed)
     wm = w.entries
-    ny = w.output_size
+    layers = list(zip(plan.layers, (cfg.n1, cfg.n2)))
+    # rows 0-1: layer-one compositions by bit, rows 2-3: layer-two
+    table = np.stack([_type_counts(l.conditional(b).probs, n) for l, n in layers for b in (0, 1)])
+    cands = [np.stack([wm @ l.conditional(b).probs for b in (0, 1)]) for l, _ in layers]
+    # a one-layer plan has no branch sub-blocks to split
+    branch, k2 = (plan.branch_bits[0], cfg.k2) if two else (-1, 1)
 
-    def draw(table, bits):
-        # (sub-blocks, n_x, n_y) draws in C order; a zero count draws nothing
-        return rng.multinomial(table[bits], wm.T).sum(axis=1)
-
-    layer1 = plan.layers[0]
-    table1 = np.stack([_type_counts(layer1.conditional(b).probs, cfg.n1) for b in (0, 1)])
-    cands1 = np.stack([wm @ layer1.conditional(b).probs for b in (0, 1)])
-
-    two = len(plan.layers) == 2
-    if two:
-        layer2 = plan.layers[1]
-        branch = plan.branch_bits[0]
-        table2 = np.stack([_type_counts(layer2.conditional(b).probs, cfg.n2) for b in (0, 1)])
-        cands2 = np.stack([wm @ layer2.conditional(b).probs for b in (0, 1)])
-
-    errors = [0, 0]
-    totals = [0, 0]
-    joint = [np.zeros((2, ny)), np.zeros((2, ny))]
+    errors = [0] * len(layers)
+    totals = [0] * len(layers)
+    joint = [np.zeros((2, w.output_size)) for _ in layers]
 
     for _ in range(cfg.trials):
         bits1 = rng.integers(0, 2, cfg.k1)
-        counts = np.empty((cfg.k1, ny), dtype=int)
-        parents = np.flatnonzero(bits1 == branch) if two else ()
-        bits2, inner = [], []
-        start = 0
-        for i in parents:
-            # a continuing sub-block's own output is the union of its
-            # small sub-blocks
-            if start < i:
-                counts[start:i] = draw(table1, bits1[start:i])
-            bits2.append(rng.integers(0, 2, cfg.k2))
-            inner.append(draw(table2, bits2[-1]))
-            counts[i] = inner[-1].sum(axis=0)
-            start = i + 1
-        if start < cfg.k1:
-            counts[start:] = draw(table1, bits1[start:])
+        parents = np.flatnonzero(bits1 == branch)
+        # stream order: each branch sub-block expands to its k2 small ones
+        sizes = np.where(bits1 == branch, k2, 1)
+        starts = np.cumsum(sizes) - sizes
+        rows = np.repeat(bits1, sizes)
+        cuts = [0, *starts[parents], rows.size]
+        draws = [rng.multinomial(table[rows[: cuts[1]]], wm.T)] if cuts[1] else []
+        for a, b in zip(cuts[1:], cuts[2:]):
+            rows[a : a + k2] = 2 + rng.integers(0, 2, k2)
+            draws.append(rng.multinomial(table[rows[a:b]], wm.T))
+        # a zero count draws nothing; outputs summed over inputs
+        out = np.concatenate(draws).sum(axis=1)
+        # a branch sub-block's output is the union of its small sub-blocks
+        counts = np.add.reduceat(out, starts)
 
-        wrong1 = _decode(counts, cands1) != bits1
+        wrong1 = _decode(counts, cands[0]) != bits1
         errors[0] += int(wrong1.sum())
         totals[0] += cfg.k1
         joint[0] += [counts[bits1 == b].sum(axis=0) for b in (0, 1)]
         if len(parents):
-            bits2, inner = np.stack(bits2), np.stack(inner)
-            wrong2 = _decode(inner, cands2) != bits2
+            small = rows >= 2
+            bits2 = (rows[small] - 2).reshape(-1, k2)
+            inner = out[small].reshape(*bits2.shape, -1)
+            wrong2 = _decode(inner, cands[1]) != bits2
             missed = wrong1[parents]
             # a missed parent loses every inner bit
-            errors[1] += int(missed.sum()) * cfg.k2 + int(wrong2[~missed].sum())
+            errors[1] += int(missed.sum()) * k2 + int(wrong2[~missed].sum())
             totals[1] += bits2.size
             joint[1] += [inner[bits2 == b].sum(axis=0) for b in (0, 1)]
 
-    n_layers = 2 if two else 1
     return SimulationReport(
-        per_layer_error_rate=tuple(
-            errors[l] / totals[l] if totals[l] else math.nan for l in range(n_layers)
-        ),
-        per_layer_empirical_rate=tuple(
-            _plugin_information(joint[l]) for l in range(n_layers)
-        ),
-        per_layer_bits=tuple(totals[:n_layers]),
-        per_layer_symbols=tuple(n * t for n, t in zip((cfg.n1, cfg.n2), totals[:n_layers])),
+        per_layer_error_rate=tuple(e / t if t else math.nan for e, t in zip(errors, totals)),
+        per_layer_empirical_rate=tuple(_plugin_information(j) for j in joint),
+        per_layer_bits=tuple(totals),
+        per_layer_symbols=tuple(n * t for (_, n), t in zip(layers, totals)),
         seed=cfg.seed,
     )

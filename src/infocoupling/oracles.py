@@ -75,6 +75,11 @@ class BruteP2PResult:
     best_direction: np.ndarray
 
 
+def _ignores_input(w: ChannelMatrix) -> bool:
+    """Equal columns: no family carries output information, whatever roundoff says."""
+    return bool(np.all(w.entries == w.entries[:, :1]))
+
+
 def brute_p2p(w: ChannelMatrix, px: Distribution, epsilon: float, budget: SearchBudget) -> BruteP2PResult:
     """Grid maximization of the exact information ratio ``I(U;Y)/I(U;X)``
     over binary symmetric local ensembles ``P_X +- eps sqrt(P_X) psi``.
@@ -84,7 +89,7 @@ def brute_p2p(w: ChannelMatrix, px: Distribution, epsilon: float, budget: Search
     both informations are exact divergence sums, so the result is an
     independent reference for the contraction coefficient.  The whole
     grid is scored in one array pass; ``epsilon`` must be finite and
-    positive.
+    positive.  No ratio is negative; equal columns give exactly 0.
     """
     if w.input_size > 4:
         raise DimensionMismatchError("brute-force search supports at most 4 input symbols")
@@ -99,8 +104,8 @@ def brute_p2p(w: ChannelMatrix, px: Distribution, epsilon: float, budget: Search
     if not np.any(valid):
         raise ResolutionError("no grid direction stays on the simplex at this scale")
     ix = 0.5 * _kl(ends.T, px.probs).sum(axis=1)
-    iy = 0.5 * _kl((ends @ w.entries.T).T, py).sum(axis=1)
-    ratio = np.where(valid & (ix > 0), iy / np.where(ix > 0, ix, 1.0), -np.inf)
+    iy = 0.0 if _ignores_input(w) else 0.5 * _kl((ends @ w.entries.T).T, py).sum(axis=1)
+    ratio = np.where(valid & (ix > 0), np.maximum(iy, 0.0) / np.where(ix > 0, ix, 1.0), -np.inf)
     j = int(np.argmax(ratio))
     return BruteP2PResult(best_ratio=float(ratio[j]), best_direction=psis[j])
 
@@ -192,6 +197,9 @@ def s_ratio_search(w: ChannelMatrix, px: Distribution, budget: SearchBudget) -> 
         raise DimensionMismatchError("kernel-grid search supports at most 3 input symbols")
     px.require_strictly_positive("operating point")
     py = output_distribution(w, px).probs
+    local = brute_p2p(w, px, 1e-3, SearchBudget(max(budget.grid_resolution, 360))).best_ratio
+    if _ignores_input(w):
+        return SRatioResult(local, 0.0, local)
     kernels = _simplex_grid(w.input_size, budget.grid_resolution)
     dx0 = _kl(kernels, px.probs)
     dy0 = _kl(w.entries @ kernels, py)
@@ -206,7 +214,6 @@ def s_ratio_search(w: ChannelMatrix, px: Distribution, budget: SearchBudget) -> 
         iy = a * dy0[k] + (1 - a) * _kl(np.tensordot(w.entries, q1, axes=1), py)
         ratio = np.where(ix > 1e-15, iy / np.where(ix > 0, ix, 1.0), -np.inf)
         best = max(best, float(ratio.max(initial=-np.inf)))
-    local = brute_p2p(w, px, 1e-3, SearchBudget(max(budget.grid_resolution, 360))).best_ratio
     return SRatioResult(max(best, local), best, local)
 
 

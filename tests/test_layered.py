@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from infocoupling import (
 from infocoupling.errors import (
     ConfigurationError,
     DegenerateLayerError,
+    DimensionMismatchError,
     RegimeError,
 )
 from infocoupling.layered import SimulationReport, _plugin_information, _type_counts
@@ -59,6 +61,15 @@ class TestGreedyLayer:
             greedy_layer(
                 channel, instances.nested_ternary_operating_point(), 1.0, support=(1, 2)
             )
+
+    @pytest.mark.parametrize(
+        "support",
+        [(0, 7), (0.5, 1), (-1, 2), (1, 1, 2)],
+        ids=["out_of_range", "not_integer", "negative", "repeated"],
+    )
+    def test_support_must_list_distinct_input_symbols(self, channel, support):
+        with pytest.raises(DimensionMismatchError, match="distinct symbols of range"):
+            greedy_layer(channel, instances.nested_ternary_operating_point(), 1.0, support=support)
 
 
 class TestTernaryPlan:
@@ -322,3 +333,30 @@ class TestBatchedDrawsMatchReference:
         assert rep.per_layer_empirical_rate == empirical_rates
         assert rep.per_layer_bits == bits
         assert rep.per_layer_symbols == symbols
+
+    def test_one_integers_and_one_multinomial_call_per_branch_sub_block(
+        self, plan, channel, monkeypatch
+    ):
+        calls = collections.Counter()
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self._rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def counted(*args, **kwargs):
+                    calls[name] += 1
+                    return method(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        cfg = BlockCodeConfig(n1=400, k1=50, n2=50, k2=8, trials=200, seed=12345)
+        rep = simulate_layered(plan, channel, cfg)
+        branch_sub_blocks = rep.per_layer_bits[1] // cfg.k2
+        assert calls["integers"] == cfg.trials + branch_sub_blocks
+        assert calls["multinomial"] <= cfg.trials + branch_sub_blocks
+        assert set(calls) == {"integers", "multinomial"}

@@ -35,6 +35,11 @@ def _kl_rows(p, q):
     return terms.sum(axis=1)
 
 
+def _ignores_input(w):
+    """Equal columns: every family's output information is exactly 0."""
+    return np.ptp(w.entries, axis=1).max() == 0
+
+
 def _reference_brute_p2p(w, px, epsilon, resolution):
     """``brute_p2p`` with one row per direction and row-wise divergences;
     returns ``(best_ratio, best_direction)``."""
@@ -47,6 +52,8 @@ def _reference_brute_p2p(w, px, epsilon, resolution):
     py = w.entries @ px.probs
     ix = 0.5 * (_kl_rows(p_plus, px.probs) + _kl_rows(p_minus, px.probs))
     iy = 0.5 * (_kl_rows(p_plus @ w.entries.T, py) + _kl_rows(p_minus @ w.entries.T, py))
+    if _ignores_input(w):
+        iy = np.zeros_like(ix)
     ratio = np.where(valid & (ix > 0), iy / np.where(ix > 0, ix, 1.0), -np.inf)
     j = int(np.argmax(ratio))
     return float(ratio[j]), psis[j]
@@ -79,6 +86,8 @@ def _reference_s_ratio(w, px, resolution):
         q1 = np.clip(q1, 0.0, None)
         ix = alpha * dx0 + (1 - alpha) * _kl_rows(q1, px.probs)
         iy = alpha * dy0 + (1 - alpha) * _kl_rows(q1 @ w.entries.T, py)
+        if _ignores_input(w):
+            iy = np.zeros_like(ix)
         ratio = np.where(ok & (ix > 1e-15), iy / np.where(ix > 0, ix, 1.0), -np.inf)
         best = max(best, float(ratio.max()))
     local = _reference_brute_p2p(w, px, 1e-3, max(resolution, 360))[0]
@@ -161,6 +170,20 @@ class TestBruteP2P:
             ratio, direction = _reference_brute_p2p(w, px, epsilon, resolution)
             assert got.best_ratio == ratio
             assert np.array_equal(got.best_direction, direction)
+
+    @pytest.mark.parametrize(
+        "column, point, epsilon",
+        [
+            ([1.0], [0.4, 0.3, 0.2, 0.1], 1e-3),
+            ([1.0], [0.1, 0.2, 0.3, 0.4], 0.2),
+            ([0.3, 0.7], [0.4, 0.3, 0.2, 0.1], 1e-3),
+        ],
+    )
+    def test_equal_columns_carry_no_information(self, column, point, epsilon):
+        # roundoff in the output divergences must not read as information
+        w = ChannelMatrix(np.tile(np.array(column)[:, np.newaxis], len(point)))
+        res = brute_p2p(w, Distribution(point), epsilon, SearchBudget(grid_resolution=64))
+        assert res.best_ratio == 0.0
 
     def test_deterministic(self, ternary_channel, ternary_point):
         budget = SearchBudget(grid_resolution=90)
@@ -256,6 +279,12 @@ class TestSRatioSearch:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("column", [[1.0], [0.3, 0.7]])
+    def test_equal_columns_carry_no_information(self, column):
+        w = ChannelMatrix(np.tile(np.array(column)[:, np.newaxis], 3))
+        res = s_ratio_search(w, Distribution([0.5, 0.3, 0.2]), SearchBudget(grid_resolution=24))
+        assert _s_ratio_fields(res) == (0.0, 0.0, 0.0)
 
     def test_erasure_like_instance_reported(self):
         # no strictness assertion; just exercises the report fields
