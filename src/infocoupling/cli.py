@@ -11,8 +11,9 @@ stdout, or to ``--output`` on any subcommand.  Reports carry both nats
 and bits for every rate, plus seeds and residuals so runs can be
 reproduced byte for byte.
 
-Exit codes: 0 success, 1 failed verification check, 2 parse error,
-3 numeric degeneracy, 4 constraint, regime or configuration violation.
+Exit codes and stderr labels come from :mod:`~infocoupling.errors`, which
+owns the table; a foreign failure (an unreadable spec or ``--output``
+path, malformed JSON) becomes a :class:`SpecError` where it happens.
 """
 
 from __future__ import annotations
@@ -43,33 +44,14 @@ from .coupling import (
     solve_mac_common,
     solve_p2p,
 )
-from .errors import (
-    BudgetError,
-    ConfigurationError,
-    DegenerateOutputError,
-    DimensionMismatchError,
-    InfoCouplingError,
-    InputMismatchError,
-    InvalidDistributionError,
-    RegimeError,
-    SingularWeightError,
-)
+from .errors import EXIT_CONSTRAINT, EXIT_DEGENERATE, EXIT_PARSE  # noqa: F401 (re-exported)
+from .errors import EXIT_CHECK_FAILED, EXIT_OK, InfoCouplingError, InputMismatchError, SpecError
 from .layered import BlockCodeConfig, plan_ternary_two_layer, simulate_layered
 from .oracles import SearchBudget, ace_correlation, brute_broadcast, brute_p2p, s_ratio_search
 from .prob import Distribution, require_nonnegative
 from .tensor import kron_pair_residual, lift_dtm, second_singular_of_power
 
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
-EXIT_PARSE = 2
-EXIT_DEGENERATE = 3
-EXIT_CONSTRAINT = 4
-
 LN2 = math.log(2.0)
-
-
-class SpecError(ValueError):
-    """A channel specification file failed validation."""
 
 
 def _as_rate(nats: float) -> dict:
@@ -101,8 +83,11 @@ def _emit(report: dict, started: float, output: str | None):
     report["wall_time_s"] = time.time() - started
     text = dump_report(report)
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SpecError(str(exc)) from exc
     else:
         print(text)
 
@@ -121,35 +106,50 @@ def parse_channel_spec(path: str) -> dict:
     :func:`~infocoupling.channel.unit_columns`, so everything downstream
     sees columns stochastic to rounding.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or an over-long integer
+        raise SpecError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise SpecError("spec root must be a JSON object")
     name = raw.get("name", os.path.basename(path))
+    if not isinstance(name, str):
+        raise SpecError("'name' must be a string")
+    if "channel" in raw and "channels" in raw:
+        raise SpecError("spec has both 'channel' and 'channels'")
     if "transmitters" in raw or "joint_channel" in raw:
         if "transmitters" not in raw or "joint_channel" not in raw:
             raise SpecError("MAC specs need both 'transmitters' and 'joint_channel'")
+        if "input_dist" in raw and ("channel" in raw or "channels" in raw):
+            raise SpecError("spec is both a channel spec and a MAC spec")
         ts = raw["transmitters"]
         if not isinstance(ts, list) or not ts or not all(isinstance(t, dict) for t in ts):
             raise SpecError("'transmitters' must be a non-empty list of objects")
         dists = [_parse_distribution(t.get("input_dist")) for t in ts]
         sizes = [d.alphabet_size for d in dists]
-        flat = _numeric(raw["joint_channel"], "joint_channel").ravel()
+        flat = _numeric(raw["joint_channel"], "joint_channel")
+        if flat.ndim != 1:
+            raise SpecError("joint_channel must be a flat list of numbers")
+        if np.any(flat < 0):  # with unit columns, also no entry above 1
+            raise SpecError("joint_channel entries must be non-negative")
         block = math.prod(sizes)
         if flat.size == 0 or flat.size % block != 0:
             raise SpecError("joint_channel length is not a positive multiple of the input sizes")
         ny = flat.size // block
         try:
             joint = unit_columns(flat.reshape((ny, *sizes)), "joint channel")
-        except DimensionMismatchError as exc:
+        except InfoCouplingError as exc:
             raise SpecError(str(exc)) from exc
         return {"name": name, "kind": "mac", "transmitters": dists, "joint": joint}
     if "input_dist" not in raw:
         raise SpecError("spec needs 'input_dist'")
     px = _parse_distribution(raw["input_dist"])
     if "channels" in raw:
-        if not isinstance(raw["channels"], list):
-            raise SpecError("'channels' must be a list of matrices")
+        if not isinstance(raw["channels"], list) or not raw["channels"]:
+            raise SpecError("'channels' must be a non-empty list of matrices")
         mats = [_parse_channel(c, px.alphabet_size) for c in raw["channels"]]
     elif "channel" in raw:
         mats = [_parse_channel(raw["channel"], px.alphabet_size)]
@@ -158,29 +158,50 @@ def parse_channel_spec(path: str) -> dict:
     return {"name": name, "kind": "channel", "input_dist": px, "channels": mats}
 
 
-def _epsilon(text: str) -> float:
-    try:
-        return require_nonnegative(float(text), "epsilon")
-    except ValueError as exc:  # not a number, or InvalidDistributionError
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _option(parse):
+    """An argparse ``type`` from ``parse(text)``: the ``ValueError`` it
+    raises (a package error included) becomes one line naming the option."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
+
+
+def _at_least(least: int, what: str, value: int) -> int:
+    if value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, not {value}")
+    return value
+
+
+_epsilon = _option(lambda text: require_nonnegative(float(text), "epsilon"))
+_seed = _option(lambda text: _at_least(0, "seed", int(text)))
+_budget = _option(lambda text: _at_least(1, "budget", int(text)))
 
 
 def _numeric(data, what: str) -> np.ndarray:
-    """Spec values as a float array; non-numeric or non-finite entries
-    are parse errors."""
+    """Spec values as a float array; entries that are not JSON numbers
+    (true, false and strings too) or not finite are parse errors."""
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"{what} must be numeric: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise SpecError(f"{what} has a non-finite entry")
+    # ``data`` converted, so it nests regularly and at most numpy's dimension cap deep
+    if not all(type(v) in (int, float) for v in np.asarray(data, dtype=object).flat):
+        raise SpecError(f"{what} must hold numbers only, not true, false or strings")
     return arr
 
 
 def _parse_distribution(data) -> Distribution:
+    arr = _numeric(data, "input_dist")
     try:
-        return Distribution(_numeric(data, "input_dist"))
-    except InvalidDistributionError as exc:
+        return Distribution(arr)
+    except InfoCouplingError as exc:
         raise SpecError(f"bad input_dist: {exc}") from exc
 
 
@@ -192,7 +213,7 @@ def _parse_channel(data, nx: int) -> ChannelMatrix:
         )
     try:
         return ChannelMatrix(unit_columns(arr, "channel"))
-    except DimensionMismatchError as exc:
+    except InfoCouplingError as exc:
         raise SpecError(f"bad channel matrix: {exc}") from exc
 
 
@@ -448,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="run property suites")
     p_verify.add_argument("--suite", choices=["tensor", "oracle", "all"], default="all")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=200)
+    p_verify.add_argument("--seed", type=_seed, default=0)
+    p_verify.add_argument("--budget", type=_budget, default=200)
     p_verify.add_argument(
         "--inject-corruption", action="store_true", help=argparse.SUPPRESS
     )
@@ -464,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_layer.add_argument("--n2", type=int, default=50)
     p_layer.add_argument("--k2", type=int, default=8)
     p_layer.add_argument("--trials", type=int, default=200)
-    p_layer.add_argument("--seed", type=int, default=12345)
+    p_layer.add_argument("--seed", type=_seed, default=12345)
     p_layer.set_defaults(func=cmd_layered)
     return parser
 
@@ -478,23 +499,9 @@ def main(argv=None) -> int:
         report = make_report(["infocoupling", *argv], inputs, results, seeds)
         _emit(report, started, args.output)
         return EXIT_CHECK_FAILED if results.get("all_passed") is False else EXIT_OK
-    except json.JSONDecodeError as exc:
-        print(f"parse error at byte offset {exc.pos}: {exc.msg}", file=sys.stderr)
-        return EXIT_PARSE
-    except (SpecError, FileNotFoundError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DegenerateOutputError, SingularWeightError) as exc:
-        print(f"numeric degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (
-        InputMismatchError, RegimeError, InvalidDistributionError, DimensionMismatchError, ConfigurationError
-    ) as exc:
-        print(f"constraint violation: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except (BudgetError, InfoCouplingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    except InfoCouplingError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except BrokenPipeError:
         # point fd 1 at devnull so the interpreter's final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

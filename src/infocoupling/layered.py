@@ -185,7 +185,8 @@ class BlockCodeConfig:
     ``n1`` symbols per layer-one sub-block, ``k1`` sub-blocks; when a
     second layer is simulated each continuing sub-block splits into
     ``k2`` sub-blocks of ``n2`` symbols with ``n2 * k2 == n1``.  Sizes and
-    ``trials`` are positive integers (numpy integers included).
+    ``trials`` are positive integers and ``seed`` a non-negative one
+    (numpy integers included).
     """
 
     n1: int
@@ -203,6 +204,8 @@ class BlockCodeConfig:
             raise ConfigurationError(f"block sizes and trials must be positive integers, not {sizes!r}")
         if self.n2 is not None and self.n2 * self.k2 != self.n1:
             raise ConfigurationError("two-layer plans require n2 * k2 == n1")
+        if not is_count(self.seed, 0):
+            raise ConfigurationError(f"seed must be a non-negative integer, not {self.seed!r}")
 
 
 @record()
@@ -284,6 +287,7 @@ def simulate_layered(plan: LayerPlan, w: ChannelMatrix, cfg: BlockCodeConfig) ->
         raise ConfigurationError("two-layer plans need n2 and k2 in the config")
     rng = np.random.default_rng(cfg.seed)
     wm = w.entries
+    pvals = np.ascontiguousarray(wm.T)  # one contiguous copy, not one per multinomial call
     layers = list(zip(plan.layers, (cfg.n1, cfg.n2)))
     # rows 0-1: layer-one compositions by bit, rows 2-3: layer-two
     table = np.stack([_type_counts(l.conditional(b).probs, n) for l, n in layers for b in (0, 1)])
@@ -303,10 +307,10 @@ def simulate_layered(plan: LayerPlan, w: ChannelMatrix, cfg: BlockCodeConfig) ->
         starts = np.cumsum(sizes) - sizes
         rows = np.repeat(bits1, sizes)
         cuts = [0, *starts[parents], rows.size]
-        draws = [rng.multinomial(table[rows[: cuts[1]]], wm.T)] if cuts[1] else []
+        draws = [rng.multinomial(table[rows[: cuts[1]]], pvals)] if cuts[1] else []
         for a, b in zip(cuts[1:], cuts[2:]):
             rows[a : a + k2] = 2 + rng.integers(0, 2, k2)
-            draws.append(rng.multinomial(table[rows[a:b]], wm.T))
+            draws.append(rng.multinomial(table[rows[a:b]], pvals))
         # a zero count draws nothing; outputs summed over inputs
         out = np.concatenate(draws).sum(axis=1)
         # a branch sub-block's output is the union of its small sub-blocks

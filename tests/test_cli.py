@@ -8,12 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from infocoupling import errors
 from infocoupling.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONSTRAINT,
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_PARSE,
+    SpecError,
     dump_report,
     load_report,
     main,
@@ -49,6 +51,10 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert code == EXIT_PARSE
         assert "byte offset" in err
+        assert err == (
+            "parse error: invalid JSON at byte offset 40: "
+            "Expecting property name enclosed in double quotes\n"
+        )
 
     def test_degenerate_output_exit_code(self, capsys, tmp_path):
         spec = tmp_path / "degenerate.json"
@@ -375,3 +381,124 @@ class TestSpecParsing:
             assert code == EXIT_PARSE, (transmitters, err)
             assert err.startswith("parse error:")
             assert len(err.strip().splitlines()) == 1
+
+
+# the whole mapping written out, so a new error class must be given its code on purpose
+EXIT_TABLE = {
+    "InfoCouplingError": (EXIT_CHECK_FAILED, "error"),
+    "SpecError": (EXIT_PARSE, "parse error"),
+    "DegenerateOutputError": (EXIT_DEGENERATE, "numeric degeneracy"),
+    "SingularWeightError": (EXIT_DEGENERATE, "numeric degeneracy"),
+    "ConfigurationError": (EXIT_CONSTRAINT, "constraint violation"),
+    "DimensionMismatchError": (EXIT_CONSTRAINT, "constraint violation"),
+    "InputMismatchError": (EXIT_CONSTRAINT, "constraint violation"),
+    "InvalidDistributionError": (EXIT_CONSTRAINT, "constraint violation"),
+    "RegimeError": (EXIT_CONSTRAINT, "constraint violation"),
+    "BudgetError": (EXIT_CHECK_FAILED, "error"),
+    "CapacityError": (EXIT_CHECK_FAILED, "error"),
+    "DegenerateLayerError": (EXIT_CHECK_FAILED, "error"),
+    "InfeasibleError": (EXIT_CHECK_FAILED, "error"),
+    "ResolutionError": (EXIT_CHECK_FAILED, "error"),
+}
+
+
+def _package_errors(cls=errors.InfoCouplingError):
+    found = {cls} if cls.__module__.startswith("infocoupling.") else set()
+    return found.union(*(_package_errors(sub) for sub in cls.__subclasses__()))
+
+
+def test_every_error_class_names_its_exit_code():
+    table = {cls.__name__: (cls.exit_code, cls.label) for cls in _package_errors()}
+    assert table == EXIT_TABLE
+    assert SpecError is errors.SpecError
+
+
+def _one_line_failure(capsys, argv, code):
+    """Runs ``main(argv)``, expecting ``code``, an empty stdout and one
+    stderr line; returns that line."""
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    return lines[0]
+
+
+class TestForeignFailures:
+    """A spec or ``--output`` path that cannot be read, parsed or written
+    is one parse-error line.  All but the missing directory printed a
+    traceback and exited 1."""
+
+    def test_spec_path_is_a_directory(self, capsys):
+        line = _one_line_failure(capsys, ["spectrum", str(SPEC_DIR)], EXIT_PARSE)
+        assert line.startswith("parse error: [Errno")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"name": "caf\xe9", "input_dist": [1.0], "channel": [[1.0]]}',  # not UTF-8
+            b"[" * 5000 + b"]" * 5000,  # nested deeper than the JSON decoder recurses
+            # 400 digits overflow the float conversion; 5000 exceed Python's int parsing limit
+            b'{"input_dist": [%s, 0.5], "channel": [[1, 0], [0, 1]]}' % (b"1" * 400),
+            b'{"input_dist": [%s, 0.5], "channel": [[1, 0], [0, 1]]}' % (b"1" * 5000),
+        ],
+        ids=["latin1", "deep", "400-digits", "5000-digits"],
+    )
+    def test_unreadable_spec(self, content, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        line = _one_line_failure(capsys, ["spectrum", str(path)], EXIT_PARSE)
+        assert line.startswith("parse error:")
+
+    def test_output_is_a_directory(self, capsys, tmp_path):
+        argv = ["layered", "--eta", "0.2", "--gamma", "0.1", "--output", str(tmp_path)]
+        line = _one_line_failure(capsys, argv, EXIT_PARSE)
+        assert line.startswith("parse error: [Errno")
+
+    def test_output_in_a_missing_directory(self, capsys, tmp_path):
+        argv = ["layered", "--eta", "0.2", "--gamma", "0.1", "--output", str(tmp_path / "no" / "r.json")]
+        line = _one_line_failure(capsys, argv, EXIT_PARSE)
+        assert line.startswith("parse error: [Errno 2]")
+
+
+class TestSchemaRefusals:
+    """Specs that ``docs/channel_spec_schema.json`` refuses and that the
+    parser used to run."""
+
+    BSC = {"input_dist": [0.5, 0.5], "channel": [[0.9, 0.1], [0.1, 0.9]]}
+    MAC = {
+        "transmitters": [{"input_dist": [0.5, 0.5]}, {"input_dist": [0.5, 0.5]}],
+        "joint_channel": [1, 0, 0, 1, 0, 1, 1, 0],
+    }
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (dict(BSC, channels=[[[1, 0], [0, 1]]]), "spec has both 'channel' and 'channels'"),
+            (dict(BSC, name=5), "'name' must be a string"),
+            (dict(BSC, channel=[[True, False], [False, True]]), "channel must hold numbers only"),
+            (dict(BSC, input_dist=[True, False]), "input_dist must hold numbers only"),
+            (dict(BSC, input_dist=["0.5", "0.5"]), "input_dist must hold numbers only"),
+            ({"input_dist": [0.5, 0.5], "channels": []}, "'channels' must be a non-empty list"),
+            (dict(MAC, joint_channel=[[1, 0, 0, 1], [0, 1, 1, 0]]), "joint_channel must be a flat list"),
+            (dict(MAC, joint_channel=[1, 0, 0, 1, 0, 1, 1, False]), "joint_channel must hold numbers only"),
+            # columns sum to 1, and the marginal channels average the -0.5 away
+            (dict(MAC, joint_channel=[1.5, 0, 0, 1, -0.5, 1, 1, 0]), "joint_channel entries must be non-negative"),
+            (dict(MAC, **BSC), "spec is both a channel spec and a MAC spec"),
+        ],
+    )
+    def test_refused_with_one_line(self, body, message, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(body))
+        mode = "mac" if "transmitters" in body else "p2p"
+        for argv in (["spectrum", str(path)], ["couple", str(path), "--mode", mode]):
+            line = _one_line_failure(capsys, argv, EXIT_PARSE)
+            assert line.startswith(f"parse error: {message}"), line
+
+    def test_mac_spec_may_carry_an_unused_channel(self, capsys, tmp_path):
+        # the schema's oneOf refuses a spec only when both kinds are complete
+        adder = json.loads((SPEC_DIR / "adder_mac.json").read_text())
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(adder, channel=[[1, 0], [0, 1]])))
+        assert main(["couple", str(path), "--mode", "mac"]) == EXIT_OK

@@ -75,6 +75,31 @@ class TestEpsilon:
         assert main(["couple", "--mode", "p2p", BSC, "--epsilon", "0"]) == EXIT_OK
 
 
+class TestCountOptions:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify", "--seed", "-1"], "--seed"),
+            (["layered", "--eta", "0.2", "--gamma", "0.1", "--simulate", "--seed", "-1"], "--seed"),
+            (["verify", "--budget", "-5"], "--budget"),
+            (["verify", "--budget", "0"], "--budget"),
+        ],
+    )
+    def test_cli_parse_error(self, argv, option, capsys):
+        # a negative seed was numpy's ValueError; a budget of -5 ran the default workload
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_PARSE
+        assert "Traceback" not in err
+        # argparse's usage block, then one error line
+        message = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+        assert len(message) == 1 and f"argument {option}:" in message[0]
+
+    def test_cli_zero_seed_accepted(self, capsys):
+        assert main(["verify", "--suite", "tensor", "--seed", "0", "--budget", "1"]) == EXIT_OK
+
+
 class TestGridOracles:
     @pytest.mark.parametrize("eps", BAD_SIZES + [0.0])
     def test_brute_p2p_epsilon(self, eps, ternary_channel, ternary_point):
@@ -188,6 +213,12 @@ class TestBlockCodeIntegers:
         # these reached simulate_layered, which leaked a TypeError
         with pytest.raises(ConfigurationError, match="integers"):
             BlockCodeConfig(**sizes)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy's default_rng raised a ValueError or TypeError inside simulate_layered
+        with pytest.raises(ConfigurationError, match="seed"):
+            BlockCodeConfig(n1=400, k1=5, seed=seed)
 
     def test_numpy_integers_accepted(self, ternary_channel):
         cfg = BlockCodeConfig(
