@@ -11,22 +11,24 @@ with ``G_i = B_i^T B_i``.  Its convex dual is
 ``min_{w in simplex} lambda_max(Pi (sum_i w_i G_i) Pi)``, and this module
 closes the two by column generation (Kelley's cutting-plane method on the
 dual): a linear program mixes rank-one columns into the best Gram matrix
-they span, and the largest eigenvalue of the weighted forms is queried
-at its dual weights ``w`` and, after the first round, at three more
-points between the best dual weights so far and ``w`` (in-out
-separation, Ben-Ameur & Neto 2007).  The top eigenvectors of every query
-become new columns until the primal and dual values certify a gap of at
-most 1e-7.  An achieving ensemble of antipodal perturbation pairs is
-read off the optimal Gram matrix.  Restricting ``M`` to rank one gives
-the best single shared direction (max-min-fair multicast beamforming),
-for which the program above is the semidefinite relaxation.  On a 2-D
-plane each receiver's value is affine in ``(cos 2t, sin 2t)``, so the
-exact answer is one of finitely many circle points; on larger planes the
-relaxation's Gram matrix seeds an ascent by exact great-circle searches
-and its dual value bounds the remaining gap.  For a common source
-feeding a multiple access channel the per-transmitter coupling matrices,
-each restricted to its valid plane, stack side by side and one top
-singular pair answers the question, coherent combining gain included.
+they span, and the largest eigenvalue of the weighted forms is queried at
+its dual weights ``w`` and, after the first round, at three more points
+between the best dual weights so far and ``w`` (in-out separation,
+Ben-Ameur & Neto 2007), in one stacked eigensolve.  The top eigenvectors
+of every query become new columns until the primal and dual values meet
+within ``CG_GAP`` = 1e-10 (a gap left above ``GAP_TOL`` = 1e-7 raises).
+An achieving ensemble of antipodal perturbation pairs is read off the
+optimal Gram matrix.  Restricting ``M`` to rank one gives the best single
+shared direction (max-min-fair multicast beamforming), for which the
+program above is the semidefinite relaxation.  On a 2-D plane each
+receiver's value is affine in ``(cos 2t, sin 2t)``, so the exact answer
+is one of finitely many circle points; on larger planes the relaxation's
+Gram matrix seeds an ascent by exact great-circle searches and its dual
+value bounds the remaining gap, ending the ascent within ``CG_GAP``.  For
+a common source feeding a multiple access channel the per-transmitter
+coupling matrices, each restricted to its valid plane, stack side by side
+and one top singular pair answers the question, coherent combining gain
+included.
 
 The linear programs go through one dense revised simplex in numpy,
 which the column generation warm-starts from the last round's optimal
@@ -311,7 +313,7 @@ class BroadcastSolution:
 
 def _ratings(forms, cols: np.ndarray) -> np.ndarray:
     """Quadratic image ``c^T H_i c`` of every column under every form."""
-    return np.stack([np.einsum("jd,de,je->j", cols, h, cols) for h in forms])
+    return np.sum((cols @ forms) * cols, axis=-1)
 
 
 def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
@@ -336,7 +338,7 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     if not 1 <= k <= 8:
         raise InputMismatchError("supported receiver counts are 1 through 8")
     px, q, forms = _plane_forms(dtms)
-    cols = np.stack([np.linalg.eigh(h)[1][:, -1] for h in forms])
+    cols = np.linalg.eigh(forms)[1][:, :, -1]
     ratings = _ratings(forms, cols)
     primal, dual, basis, pivots = -math.inf, math.inf, None, 0
     for rounds in range(1, CG_ROUNDS + 1):
@@ -345,20 +347,18 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
         m = (cols.T * p) @ cols
         m = 0.5 * (m + m.T)
         m /= np.trace(m)
-        values = np.array([float(np.sum(h * m)) for h in forms])
+        values = np.sum(forms * m, axis=(1, 2))
         improved = False
         if values.min() > primal:
             primal, m_star, system_values, improved = float(values.min()), m, values, True
-        points = [w] if rounds == 1 else [(1 - t) * w_star + t * w for t in PRICING_STEPS]
-        new = []
-        for x in points:
-            vals, vecs = np.linalg.eigh(sum(xi * h for xi, h in zip(x, forms)))
-            if vals[-1] < dual:
-                dual, w_star, improved = float(vals[-1]), x, True
-            new.append(vecs[:, -2:].T)
+        points = np.array([w] if rounds == 1 else [(1 - t) * w_star + t * w for t in PRICING_STEPS])
+        vals, vecs = np.linalg.eigh(np.tensordot(points, forms, 1))
+        j = int(np.argmin(vals[:, -1]))  # the first point wins a tie
+        if vals[j, -1] < dual:
+            dual, w_star, improved = float(vals[j, -1]), points[j], True
         if dual - primal <= CG_GAP or not improved:
             break
-        new = np.vstack(new)
+        new = np.swapaxes(vecs[:, :, -2:], 1, 2).reshape(-1, cols.shape[1])
         cols = np.vstack([cols, new])
         ratings = np.hstack([ratings, _ratings(forms, new)])
 
@@ -394,7 +394,8 @@ class SingleDirectionResult:
     ``optimality_gap`` bounds how far ``value`` may lie below the optimum:
     0 on valid planes of dimension at most two, where the search is exact,
     and beyond that the broadcast relaxation's dual value minus ``value``.
-    It is never NaN and never negative.
+    It is never NaN and never negative, and above ``CG_GAP`` only where
+    the ascent found no step that gains.
     """
 
     value: float
@@ -403,45 +404,46 @@ class SingleDirectionResult:
 
 
 def _worst_values(forms: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """``min_i u^T H_i u`` for each row ``u`` of ``us``."""
-    return np.einsum("jd,kde,je->jk", us, forms, us).min(axis=1)
+    """``min_i u^T H_i u`` for each row ``u`` of ``us``, over any leading axes."""
+    return np.einsum("...jd,...kde,...je->...jk", us, forms, us).min(axis=-1)
 
 
 def _circle_candidates(forms: np.ndarray):
     """``c, g`` with ``u^T H_i u = c_i + g_i . x`` for ``u = (cos t, sin t)``
-    and ``x = (cos 2t, sin 2t)``, from a stack of symmetric 2x2 forms, and
-    the points where ``max_{|x|=1} min_i c_i + g_i . x`` can sit: each
-    ``g_i / |g_i|``, then both points where each pair line ``f_i = f_j``
-    meets the circle (foot plus and minus half the chord).  A line that
-    misses the circle gives its foot twice, and a constant or repeated
-    form gives non-finite rows, for callers to drop."""
-    c = 0.5 * (forms[:, 0, 0] + forms[:, 1, 1])
-    g = np.stack([0.5 * (forms[:, 0, 0] - forms[:, 1, 1]), forms[:, 0, 1]], axis=1)
-    i, j = np.triu_indices(c.size, 1)
+    and ``x = (cos 2t, sin 2t)``, from stacks of symmetric 2x2 forms (any
+    leading axes), and the points (rows) where ``max_{|x|=1} min_i c_i +
+    g_i . x`` can sit: each ``g_i / |g_i|``, then both points where each
+    pair line ``f_i = f_j`` meets the circle (foot plus and minus half the
+    chord).  A line that misses the circle gives its foot twice, and a
+    constant or repeated form gives non-finite rows, for callers to set aside."""
+    c = 0.5 * (forms[..., 0, 0] + forms[..., 1, 1])
+    g = np.stack([0.5 * (forms[..., 0, 0] - forms[..., 1, 1]), forms[..., 0, 1]], axis=-1)
+    i, j = np.array(list(itertools.combinations(range(c.shape[-1]), 2)), dtype=int).reshape(-1, 2).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        n = g[i] - g[j]
-        nn = np.sum(n * n, axis=1)
-        foot = n * ((c[j] - c[i]) / nn)[:, np.newaxis]
-        half = np.sqrt(np.clip(1.0 - np.sum(foot * foot, axis=1), 0.0, None) / nn)
-        chord = np.stack([-n[:, 1], n[:, 0]], axis=1) * half[:, np.newaxis]
-        return c, g, np.vstack([g / np.hypot(g[:, :1], g[:, 1:]), foot + chord, foot - chord])
+        n = g[..., i, :] - g[..., j, :]
+        nn = np.sum(n * n, axis=-1)
+        foot = n * ((c[..., j] - c[..., i]) / nn)[..., np.newaxis]
+        half = np.sqrt(np.clip(1.0 - np.sum(foot * foot, axis=-1), 0.0, None) / nn)
+        chord = np.stack([-n[..., 1], n[..., 0]], axis=-1) * half[..., np.newaxis]
+        return c, g, np.concatenate([g / np.hypot(g[..., :1], g[..., 1:]), foot + chord, foot - chord], axis=-2)
 
 
 def _circle_directions(forms: np.ndarray) -> np.ndarray:
     """Unit ``u`` in R^2 (rows), one of which maximizes ``min_i u^T H_i u``;
-    ``(1, 0)`` stands in for the case where every value is constant."""
-    x = np.vstack([[1.0, 0.0], _circle_candidates(forms)[2]])
-    x = x[np.all(np.isfinite(x), axis=1)]
-    t = 0.5 * np.arctan2(x[:, 1], x[:, 0])
-    return np.stack([np.cos(t), np.sin(t)], axis=1)
+    ``(1, 0)`` comes first and stands in for the non-finite candidates."""
+    x = np.insert(_circle_candidates(forms)[2], 0, [1.0, 0.0], axis=-2)
+    x = np.where(np.all(np.isfinite(x), axis=-1, keepdims=True), x, [1.0, 0.0])
+    t = 0.5 * np.arctan2(x[..., 1], x[..., 0])
+    return np.stack([np.cos(t), np.sin(t)], axis=-1)
 
 
 def _best_on_circle(forms: np.ndarray) -> np.ndarray:
+    """The first best of :func:`_circle_directions` for each stack in ``forms``."""
     us = _circle_directions(forms)
-    return us[int(np.argmax(_worst_values(forms, us)))]
+    return us[np.arange(len(us)), np.argmax(_worst_values(forms, us), axis=-1)]
 
 
-def _tangents(forms: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
+def _tangents(forms: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Search directions at the unit vector ``c``: each plane axis, then
     for each receiver, each receiver pair and each set of the ``k >= 3``
     worst receivers, the least-norm direction along which all their
@@ -453,26 +455,31 @@ def _tangents(forms: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
     sets = [[i] for i in range(k)] + [list(p) for p in itertools.combinations(range(k), 2)]
     sets += [worst[:n] for n in range(3, k + 1)]
     rises = [np.linalg.lstsq(grads[s], np.ones(len(s)), rcond=None)[0] for s in sets]
-    return list(np.eye(c.size)) + rises
+    return np.vstack([np.eye(c.size), rises])
 
 
-def _ascend(forms: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Monotone ascent of the worst value, each step an exact search on
-    the great circle through ``c`` along one of :func:`_tangents`; stops
-    when a sweep gains at most ``VALUE_ATOL`` or after ``ASCENT_SWEEPS``."""
-    value = _worst_values(forms, c[np.newaxis])[0]
+def _ascend(forms: np.ndarray, c: np.ndarray, bound: float) -> np.ndarray:
+    """First-improvement ascent of the worst value on the great circles
+    through ``c`` and each of :func:`_tangents`, those left in a sweep
+    searched from the current point in one stacked pass.  Stops once
+    ``bound``, an upper bound on the optimum, is within ``CG_GAP``, when a
+    sweep gains at most ``VALUE_ATOL``, or after ``ASCENT_SWEEPS``."""
+    value, start = _worst_values(forms, c[np.newaxis])[0], -math.inf
     for _ in range(ASCENT_SWEEPS):
-        start = value
-        for t in _tangents(forms, c):
-            # orthonormal (c, t'); t' is arbitrary when t is parallel to c
-            basis = np.linalg.qr(np.stack([c, t], axis=1))[0]
-            cand = basis @ _best_on_circle(basis.T @ forms @ basis)
-            cand /= np.linalg.norm(cand)
-            v = _worst_values(forms, cand[np.newaxis])[0]
-            if v > value:
-                c, value = cand, v
-        if value - start <= VALUE_ATOL:
+        if bound - value <= CG_GAP or value - start <= VALUE_ATOL:
             break
+        start, tangents = value, _tangents(forms, c)
+        while len(tangents) and bound - value > CG_GAP:
+            # orthonormal (c, t') per tangent t; t' is arbitrary when t is parallel to c
+            bases = np.linalg.qr(np.stack([np.tile(c, (len(tangents), 1)), tangents], axis=-1))[0]
+            planes = np.swapaxes(bases, 1, 2)[:, np.newaxis] @ forms @ bases[:, np.newaxis]
+            cands = (bases @ _best_on_circle(planes)[..., np.newaxis])[..., 0]
+            cands /= np.sqrt(cands[:, np.newaxis] @ cands[..., np.newaxis])[:, 0]
+            values = _worst_values(forms, cands)
+            j = int(np.argmax(values > value))  # the first tangent that gains
+            if values[j] <= value:
+                break
+            c, value, tangents = cands[j], values[j], tangents[j + 1 :]
     return c
 
 
@@ -487,10 +494,11 @@ def solve_broadcast_single_direction(
     semidefinite relaxation is the Gram program of :func:`solve_broadcast`
     (receiver counts 1 through 8).  The exact circle optimum on the span
     of its Gram matrix's top two eigenvectors (which holds the optimum
-    when that matrix is rank one) starts :func:`_ascend`, and the
-    relaxation's dual value bounds the distance to the optimum.  A caller
-    holding ``solve_broadcast(dtms)`` already passes it as ``broadcast``
-    to skip solving the relaxation again.
+    when that matrix is rank one) starts :func:`_ascend`, a batched
+    first-improvement search, and the relaxation's dual value bounds the
+    distance to the optimum and ends the ascent within ``CG_GAP`` (at
+    once when rank one).  A caller holding ``solve_broadcast(dtms)``
+    already passes it as ``broadcast`` to skip solving it again.
     """
     _, q, forms = _plane_forms(dtms)
     if broadcast is not None and len(broadcast.system_values) != len(dtms):
@@ -502,9 +510,10 @@ def solve_broadcast_single_direction(
         us = _circle_directions(forms)
     else:
         sol = solve_broadcast(dtms) if broadcast is None else broadcast
-        top = np.linalg.eigh(q.T @ sol.gram @ q)[1][:, -2:]
-        us = _ascend(forms, top @ _best_on_circle(top.T @ forms @ top))[np.newaxis]
         bound = sol.dual_value
+        top = np.linalg.eigh(q.T @ sol.gram @ q)[1][:, -2:]
+        start = top @ _best_on_circle((top.T @ forms @ top)[np.newaxis])[0]
+        us = _ascend(forms, start, bound)[np.newaxis]
     values, psis = _worst_values(forms, us), us @ q.T
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     psis *= canonical_sign(psis.T)[:, np.newaxis]

@@ -502,3 +502,17 @@ class TestSchemaRefusals:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(dict(adder, channel=[[1, 0], [0, 1]])))
         assert main(["couple", str(path), "--mode", "mac"]) == EXIT_OK
+
+
+def test_schema_accepts_shipped_and_loose_specs():
+    # entries may exceed 1 by the parser's 1e-9 column tolerance, as in
+    # the loose specs of test_loose_columns_are_renormalized
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((SPEC_DIR.parent / "docs" / "channel_spec_schema.json").read_text())
+    specs = [json.loads(path.read_text()) for path in sorted(SPEC_DIR.glob("*.json"))]
+    bsc = {"input_dist": [0.5, 0.5], "channel": [[0.9 + 1e-10, 0.1], [0.1, 0.9]]}
+    adder = json.loads((SPEC_DIR / "adder_mac.json").read_text())
+    adder["joint_channel"][0] += 1e-10
+    assert specs
+    for spec in specs + [bsc, adder]:
+        jsonschema.validate(spec, schema)

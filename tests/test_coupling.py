@@ -23,6 +23,17 @@ from infocoupling import (
     superposition_information,
     valid_plane_basis,
 )
+from infocoupling import coupling
+from infocoupling.coupling import (
+    ASCENT_SWEEPS,
+    CG_GAP,
+    VALUE_ATOL,
+    _ascend,
+    _circle_candidates,
+    _plane_forms,
+    _tangents,
+    _worst_values,
+)
 from infocoupling.errors import (
     DegenerateOutputError,
     DimensionMismatchError,
@@ -242,6 +253,105 @@ class TestSingleDirectionExact:
             assert sd.optimality_gap == (0.0 if exact else max(sol.dual_value - sd.value, 0.0))
             assert abs(np.linalg.norm(sd.psi) - 1.0) <= 1e-12
             assert abs(float(sd.psi @ dtms[0].input.sqrt())) <= 1e-12
+
+
+def _reference_ascend(forms, c):
+    """The sequential ascent: one great-circle search per tangent, in
+    order, each from the point the last gain reached."""
+
+    def best_on_circle(planes):
+        x = np.vstack([[1.0, 0.0], _circle_candidates(planes)[2]])
+        x = x[np.all(np.isfinite(x), axis=1)]
+        t = 0.5 * np.arctan2(x[:, 1], x[:, 0])
+        us = np.stack([np.cos(t), np.sin(t)], axis=1)
+        return us[int(np.argmax(_worst_values(planes, us)))]
+
+    value = _worst_values(forms, c[np.newaxis])[0]
+    for _ in range(ASCENT_SWEEPS):
+        start = value
+        for t in _tangents(forms, c):
+            basis = np.linalg.qr(np.stack([c, t], axis=1))[0]
+            cand = basis @ best_on_circle(basis.T @ forms @ basis)
+            cand /= np.linalg.norm(cand)
+            v = _worst_values(forms, cand[np.newaxis])[0]
+            if v > value:
+                c, value = cand, v
+        if value - start <= VALUE_ATOL:
+            break
+    return c
+
+
+class TestAscentWork:
+    def test_batched_ascent_follows_the_sequential_one(self):
+        rng = np.random.default_rng(31)
+        for _ in range(16):
+            forms = _plane_forms(_random_family(rng, int(rng.integers(4, 8)), int(rng.integers(2, 9))))[2]
+            start = rng.standard_normal(forms.shape[1])
+            start /= np.linalg.norm(start)
+            # an infinite bound never certifies, so only the sweeps stop it
+            got, want = _ascend(forms, start, math.inf), _reference_ascend(forms, start)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            values = _worst_values(forms, np.stack([got, want]))
+            assert abs(values[0] - values[1]) <= 1e-14
+
+    @staticmethod
+    def _count_tangent_calls(monkeypatch):
+        calls = []
+
+        def counted(forms, c):
+            calls.append(c)
+            return tangents(forms, c)
+
+        tangents = coupling._tangents
+        monkeypatch.setattr(coupling, "_tangents", counted)
+        return calls
+
+    def test_rank_one_relaxation_takes_no_step(self, monkeypatch):
+        calls = self._count_tangent_calls(monkeypatch)
+        rng = np.random.default_rng(32)
+        found = 0
+        for _ in range(40):
+            dtms = _random_family(rng, int(rng.integers(4, 8)), int(rng.integers(1, 9)))
+            sol = solve_broadcast(dtms)
+            if np.linalg.eigvalsh(sol.gram)[-2] > 1e-9:
+                continue
+            found += 1
+            assert solve_broadcast_single_direction(dtms, sol).optimality_gap <= CG_GAP
+        assert found >= 5
+        assert not calls
+
+    def test_rank_two_relaxation_still_ascends(self, monkeypatch):
+        calls = self._count_tangent_calls(monkeypatch)
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            dtms = _random_family(rng, 5, 4)
+            sol = solve_broadcast(dtms)
+            eigenvalues = np.linalg.eigvalsh(sol.gram)
+            if eigenvalues[-3] <= 1e-9 < eigenvalues[-2]:
+                break
+        else:
+            pytest.fail("no rank-two relaxation among the seeded families")
+        solve_broadcast_single_direction(dtms, sol)
+        assert calls
+
+    def test_one_eigh_call_per_pricing_round(self, rng, windmill_dtms, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        families = [windmill_dtms] + [
+            _random_family(rng, int(rng.integers(2, 8)), int(rng.integers(1, 9))) for _ in range(10)
+        ]
+        for dtms in families:
+            calls.clear()
+            sol = solve_broadcast(dtms)
+            # the start columns, one stacked call per round, the final Gram
+            assert len(calls) == sol.rounds + 2
+            assert calls[0][0] == len(dtms)
 
 
 class TestDiagonalMaxMin:

@@ -1,5 +1,6 @@
-"""Property test: every broadcast solution carries a valid certificate,
-whatever dual points the column generation priced on the way."""
+"""Property tests: every broadcast solution carries a valid certificate,
+whatever dual points the column generation priced on the way, and every
+single direction is either certified by it or admits no gaining step."""
 
 import numpy as np
 import pytest
@@ -12,16 +13,25 @@ from infocoupling import (  # noqa: E402
     Distribution,
     build_dtm,
     solve_broadcast,
+    solve_broadcast_single_direction,
     valid_plane_basis,
 )
-from infocoupling.coupling import GAP_TOL  # noqa: E402
+from infocoupling.coupling import (  # noqa: E402
+    CG_GAP,
+    GAP_TOL,
+    VALUE_ATOL,
+    _best_on_circle,
+    _plane_forms,
+    _tangents,
+    _worst_values,
+)
 
 weights = st.floats(min_value=0.02, max_value=1.0, allow_nan=False)
 
 
 @st.composite
-def family(draw):
-    nx = draw(st.integers(min_value=2, max_value=6))
+def family(draw, min_nx=2):
+    nx = draw(st.integers(min_value=min_nx, max_value=6))
     point = np.array(draw(st.lists(weights, min_size=nx, max_size=nx)))
     channels = []
     for _ in range(draw(st.integers(min_value=1, max_value=8))):
@@ -58,3 +68,24 @@ def test_broadcast_certificate(fam):
     # both sides are floating-point sums, so the dual value may sit a
     # roundoff below the value, as in ROUNDOFF_FAMILY
     assert -1e-12 <= sol.dual_value - sol.value <= GAP_TOL
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(family(min_nx=4))
+def test_single_direction_certified_or_stationary(fam):
+    px, channels = fam
+    dtms = [build_dtm(w, px) for w in channels]
+    sol = solve_broadcast(dtms)
+    sd = solve_broadcast_single_direction(dtms, sol)
+    assert sd.value <= sol.dual_value + 1e-12
+    assert sd.optimality_gap == max(sol.dual_value - sd.value, 0.0)
+    if sd.optimality_gap <= CG_GAP:
+        return
+    # no great-circle search from psi along any tangent gains
+    _, q, forms = _plane_forms(dtms)
+    c = q.T @ sd.psi
+    for t in _tangents(forms, c):
+        basis = np.linalg.qr(np.stack([c, t], axis=1))[0]
+        cand = basis @ _best_on_circle((basis.T @ forms @ basis)[np.newaxis])[0]
+        cand /= np.linalg.norm(cand)
+        assert _worst_values(forms, cand[np.newaxis])[0] - sd.value <= VALUE_ATOL
