@@ -30,13 +30,14 @@ coupling matrices, each restricted to its valid plane, stack side by side
 and one top singular pair answers the question, coherent combining gain
 included.
 
-The linear programs go through one dense revised simplex in numpy,
-which the column generation warm-starts from the last round's optimal
-basis: new columns enter at 0, so that basis stays feasible.
+The linear programs go through one dense revised simplex in numpy.  The
+column generation keeps its constraint matrix, optimal basis and basis
+inverse from round to round: new columns enter at 0, so both stay valid.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,9 +75,11 @@ PRICING_STEPS = (0.25, 0.5, 0.75, 1.0)
 MAC_PRIVATE_FLOOR = 1e-12
 VALUE_ATOL = 1e-15
 ASCENT_SWEEPS = 1000
+ASCENT_BATCH = 4
 SIMPLEX_TOL = 1e-12
 PIVOT_TOL = 1e-11
 SIMPLEX_PIVOTS = 1000
+_pairs = functools.cache(functools.partial(np.triu_indices, k=1))  # i < j among k forms
 
 
 @record("coords")
@@ -193,7 +196,7 @@ def _plane_forms(dtms):
     return px, q, 0.5 * (forms + forms.transpose(0, 2, 1))
 
 
-def _simplex(a, b, c, basis=None):
+def _simplex(a, b, c, basis=None, binv=None):
     """Dense revised simplex: ``min c @ x`` subject to ``a @ x = b`` and
     ``x >= 0``.
 
@@ -201,14 +204,17 @@ def _simplex(a, b, c, basis=None):
     Without one, a phase 1 over one artificial column per row finds a
     basis or raises :class:`InfeasibleError`; artificial columns still
     basic after it sit at 0 and block any step that would move them.
-    Dantzig's rule picks the most negative reduced cost to enter and,
-    among the rows tied in the ratio test, the largest pivot to leave.
-    Once a basis comes back, the phase goes on under Bland's
-    smallest-index rule, which cannot cycle in exact arithmetic; a basis
-    that comes back under Bland's rule means that the reduced costs are
-    roundoff, and the phase ends there.  Returns the solution, the duals
-    ``y`` with ``B^T y = c_B``, the optimal basis and the pivot count;
-    raises :class:`BudgetError` after ``SIMPLEX_PIVOTS`` pivots.
+    ``binv``, the inverse of ``a[:, basis]``, is computed at entry only
+    when not given; each pivot updates it in place by the product form's
+    rank-one eta step (Dantzig & Orchard-Hays 1954).  Dantzig's rule picks
+    the most negative reduced cost to enter and, among the rows tied in
+    the ratio test, the largest pivot to leave.  Once a basis comes back,
+    the phase goes on under Bland's smallest-index rule, which cannot
+    cycle in exact arithmetic; a basis that comes back under Bland's rule
+    means that the reduced costs are roundoff, and the phase ends there.
+    Returns the solution, the duals ``y`` with ``B^T y = c_B``, the
+    optimal basis and the pivot count; raises :class:`BudgetError` after
+    ``SIMPLEX_PIVOTS`` pivots.
     """
     m, n = a.shape
     if basis is None:
@@ -218,17 +224,17 @@ def _simplex(a, b, c, basis=None):
     else:
         phases = [np.asarray(c, dtype=float)]
     basis, pivots = np.array(basis), 0
+    binv = np.linalg.inv(a[:, basis]) if binv is None else binv
     for phase, cost in enumerate(phases):
         stuck = phase > 0  # artificial columns after a phase 1
         bland, seen = False, set()
         while True:
-            binv = np.linalg.inv(a[:, basis])
             x_b, y = binv @ b, cost[basis] @ binv
             reduced = cost - y @ a
             reduced[basis] = 0.0
             if stuck:
                 reduced[n:] = 0.0
-            entering = np.nonzero(reduced < -SIMPLEX_TOL)[0]
+            entering = (reduced < -SIMPLEX_TOL).nonzero()[0]
             if entering.size == 0:
                 break
             key = frozenset(basis.tolist())
@@ -239,16 +245,17 @@ def _simplex(a, b, c, basis=None):
             seen.add(key)
             if pivots == SIMPLEX_PIVOTS:
                 raise BudgetError(f"simplex used its {SIMPLEX_PIVOTS} pivots", best_gap=None)
-            q = entering[0] if bland else entering[np.argmin(reduced[entering])]
+            q = entering[0] if bland else entering[reduced[entering].argmin()]
             d = binv @ a[:, q]
-            blocks = (d > PIVOT_TOL) | (stuck & (basis >= n) & (d < -PIVOT_TOL))
+            blocks = (d > PIVOT_TOL) | (stuck and (basis >= n) & (d < -PIVOT_TOL))
             if not blocks.any():
                 raise BudgetError("linear program is unbounded", best_gap=None)
-            ratios = np.full(m, np.inf)
-            ratios[blocks] = np.maximum(x_b[blocks], 0.0) / np.abs(d[blocks])
-            ties = np.nonzero(ratios <= ratios.min() + SIMPLEX_TOL)[0]
-            r = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(np.abs(d[ties]))]
-            basis[r] = q
+            ratios = np.where(blocks, np.maximum(x_b, 0.0), np.inf) / np.where(blocks, np.abs(d), 1.0)
+            ties = (ratios <= ratios.min() + SIMPLEX_TOL).nonzero()[0]
+            r = ties[basis[ties].argmin()] if bland else ties[np.abs(d[ties]).argmax()]
+            row = binv[r] / d[r]
+            binv -= d[:, np.newaxis] * row
+            binv[r], basis[r] = row, q
             pivots += 1
         if phase + 1 < len(phases) and cost[basis] @ x_b > SIMPLEX_TOL * max(1.0, np.max(np.abs(b))):
             raise InfeasibleError("the linear program has no feasible point")
@@ -258,29 +265,34 @@ def _simplex(a, b, c, basis=None):
     return x, y, basis, pivots
 
 
-def _maxmin_lp(ratings: np.ndarray, basis=None):
-    """``max_p min_i (ratings @ p)_i`` over the probability simplex.
-
-    The columns are ``t``, one slack per row, then ``p``; the rows are
-    ``ratings @ p - t - s = 0`` and ``sum(p) = 1``.  Without a ``basis``
-    the simplex starts from the column with the best worst rating, ``t``
-    and every slack but that of the column's worst row, a feasible
-    vertex (ratings are non-negative, so ``t`` is too; it carries the
-    whole cost, so every pivot raises it and it never leaves).  Appending
-    columns keeps an old optimal basis feasible, so a caller that adds
-    columns passes the last one back as a warm start.
-    Returns the optimal mixture ``p``, the dual weights over the rows
-    (on the simplex as well), the optimal basis and the pivot count.
-    """
+def _maxmin_master(ratings: np.ndarray):
+    """``max_p min_i (ratings @ p)_i`` over the simplex as a constraint
+    matrix, with columns ``t``, a slack per row, then ``p``, and rows
+    ``ratings @ p - t - s = 0`` and ``sum(p) = 1``; and a feasible basis:
+    the best worst-rated column, ``t`` (non-negative, as the ratings are;
+    it carries the whole cost, so it never leaves) and every slack but
+    that of the column's worst row.  Appended columns ``(ratings, 1)``
+    keep an old optimal basis feasible."""
     k, n = ratings.shape
     a = np.block([[-np.ones((k, 1)), -np.eye(k), ratings], [np.zeros((1, k + 1)), np.ones((1, n))]])
-    if basis is None:
-        j = int(np.argmax(ratings.min(axis=0)))
-        basis = [0, *np.delete(np.arange(1, k + 1), np.argmin(ratings[:, j])), k + 1 + j]
-    x, y, basis, pivots = _simplex(a, np.r_[np.zeros(k), 1.0], np.r_[-1.0, np.zeros(k + n)], basis)
-    p = np.maximum(x[k + 1 :], 0.0)
-    w = np.maximum(y[:k], 0.0)
+    j = int(np.argmax(ratings.min(axis=0)))
+    return a, [0, *np.delete(np.arange(1, k + 1), np.argmin(ratings[:, j])), k + 1 + j]
+
+
+def _maxmin_solve(a: np.ndarray, basis, binv=None):
+    """:func:`_simplex` on a :func:`_maxmin_master` matrix from ``basis``
+    and ``binv``: the mixture, dual weights, optimal basis and pivots."""
+    k, cost = len(a) - 1, np.zeros(a.shape[1])
+    cost[0] = -1.0
+    x, y, basis, pivots = _simplex(a, np.eye(k + 1)[k], cost, basis, binv)
+    p, w = np.maximum(x[k + 1 :], 0.0), np.maximum(y[:k], 0.0)
     return p / p.sum(), w / w.sum(), basis, pivots
+
+
+def _maxmin_lp(ratings: np.ndarray, basis=None):
+    """:func:`_maxmin_solve` from :func:`_maxmin_master`'s basis or a warm ``basis``."""
+    a, start = _maxmin_master(ratings)
+    return _maxmin_solve(a, start if basis is None else basis)
 
 
 @record("dual_weights", "gram", "system_values")
@@ -313,7 +325,7 @@ class BroadcastSolution:
 
 def _ratings(forms, cols: np.ndarray) -> np.ndarray:
     """Quadratic image ``c^T H_i c`` of every column under every form."""
-    return np.sum((cols @ forms) * cols, axis=-1)
+    return ((cols @ forms) * cols).sum(axis=-1)
 
 
 def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
@@ -322,9 +334,10 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     Solves the Gram relaxation exactly by column generation.  Each round
     solves the max-min linear program over mixtures of the rank-one
     columns found so far (one per receiver's top eigenvector to start);
-    the mixture is a primal Gram matrix, and each round's LP starts from
-    the last round's optimal basis.  For any simplex point ``x`` the
-    largest eigenvalue of ``sum_i x_i H_i`` bounds the optimum from above.
+    the mixture is a primal Gram matrix, and the LP keeps its columns,
+    optimal basis and basis inverse from round to round.  For any simplex
+    point ``x`` the largest eigenvalue of ``sum_i x_i H_i`` bounds the
+    optimum from above.
     The first round queries it at the LP's dual weights ``w``; later
     rounds query it at ``(1 - t) w* + t w`` for each ``t`` in
     ``PRICING_STEPS``, where ``w*`` is the best dual point so far, which
@@ -339,28 +352,28 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
         raise InputMismatchError("supported receiver counts are 1 through 8")
     px, q, forms = _plane_forms(dtms)
     cols = np.linalg.eigh(forms)[1][:, :, -1]
-    ratings = _ratings(forms, cols)
-    primal, dual, basis, pivots = -math.inf, math.inf, None, 0
+    a, basis = _maxmin_master(_ratings(forms, cols))
+    binv, primal, dual, pivots = np.linalg.inv(a[:, basis]), -math.inf, math.inf, 0
     for rounds in range(1, CG_ROUNDS + 1):
-        p, w, basis, used = _maxmin_lp(ratings, basis)
+        p, w, basis, used = _maxmin_solve(a, basis, binv)
         pivots += used
         m = (cols.T * p) @ cols
         m = 0.5 * (m + m.T)
-        m /= np.trace(m)
-        values = np.sum(forms * m, axis=(1, 2))
+        m /= m.trace()
+        values = (forms * m).sum(axis=(1, 2))
         improved = False
         if values.min() > primal:
             primal, m_star, system_values, improved = float(values.min()), m, values, True
         points = np.array([w] if rounds == 1 else [(1 - t) * w_star + t * w for t in PRICING_STEPS])
-        vals, vecs = np.linalg.eigh(np.tensordot(points, forms, 1))
-        j = int(np.argmin(vals[:, -1]))  # the first point wins a tie
+        vals, vecs = np.linalg.eigh((points @ forms.reshape(k, -1)).reshape(-1, *forms.shape[1:]))
+        j = int(vals[:, -1].argmin())  # the first point wins a tie
         if vals[j, -1] < dual:
             dual, w_star, improved = float(vals[j, -1]), points[j], True
         if dual - primal <= CG_GAP or not improved:
             break
         new = np.swapaxes(vecs[:, :, -2:], 1, 2).reshape(-1, cols.shape[1])
         cols = np.vstack([cols, new])
-        ratings = np.hstack([ratings, _ratings(forms, new)])
+        a = np.hstack([a, np.vstack([_ratings(forms, new), np.ones(len(new))])])
 
     gap = dual - primal
     if gap > GAP_TOL:
@@ -418,12 +431,12 @@ def _circle_candidates(forms: np.ndarray):
     constant or repeated form gives non-finite rows, for callers to set aside."""
     c = 0.5 * (forms[..., 0, 0] + forms[..., 1, 1])
     g = np.stack([0.5 * (forms[..., 0, 0] - forms[..., 1, 1]), forms[..., 0, 1]], axis=-1)
-    i, j = np.array(list(itertools.combinations(range(c.shape[-1]), 2)), dtype=int).reshape(-1, 2).T
+    i, j = _pairs(c.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         n = g[..., i, :] - g[..., j, :]
-        nn = np.sum(n * n, axis=-1)
+        nn = (n * n).sum(axis=-1)
         foot = n * ((c[..., j] - c[..., i]) / nn)[..., np.newaxis]
-        half = np.sqrt(np.clip(1.0 - np.sum(foot * foot, axis=-1), 0.0, None) / nn)
+        half = np.sqrt((1.0 - (foot * foot).sum(axis=-1)).clip(0.0) / nn)
         chord = np.stack([-n[..., 1], n[..., 0]], axis=-1) * half[..., np.newaxis]
         return c, g, np.concatenate([g / np.hypot(g[..., :1], g[..., 1:]), foot + chord, foot - chord], axis=-2)
 
@@ -431,8 +444,8 @@ def _circle_candidates(forms: np.ndarray):
 def _circle_directions(forms: np.ndarray) -> np.ndarray:
     """Unit ``u`` in R^2 (rows), one of which maximizes ``min_i u^T H_i u``;
     ``(1, 0)`` comes first and stands in for the non-finite candidates."""
-    x = np.insert(_circle_candidates(forms)[2], 0, [1.0, 0.0], axis=-2)
-    x = np.where(np.all(np.isfinite(x), axis=-1, keepdims=True), x, [1.0, 0.0])
+    x = np.concatenate([np.broadcast_to([1.0, 0.0], (*forms.shape[:-3], 1, 2)), _circle_candidates(forms)[2]], axis=-2)
+    x = np.where(np.isfinite(x).all(axis=-1, keepdims=True), x, [1.0, 0.0])
     t = 0.5 * np.arctan2(x[..., 1], x[..., 0])
     return np.stack([np.cos(t), np.sin(t)], axis=-1)
 
@@ -440,7 +453,7 @@ def _circle_directions(forms: np.ndarray) -> np.ndarray:
 def _best_on_circle(forms: np.ndarray) -> np.ndarray:
     """The first best of :func:`_circle_directions` for each stack in ``forms``."""
     us = _circle_directions(forms)
-    return us[np.arange(len(us)), np.argmax(_worst_values(forms, us), axis=-1)]
+    return us[np.arange(len(us)), _worst_values(forms, us).argmax(axis=-1)]
 
 
 def _tangents(forms: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -460,26 +473,28 @@ def _tangents(forms: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _ascend(forms: np.ndarray, c: np.ndarray, bound: float) -> np.ndarray:
     """First-improvement ascent of the worst value on the great circles
-    through ``c`` and each of :func:`_tangents`, those left in a sweep
-    searched from the current point in one stacked pass.  Stops once
-    ``bound``, an upper bound on the optimum, is within ``CG_GAP``, when a
-    sweep gains at most ``VALUE_ATOL``, or after ``ASCENT_SWEEPS``."""
+    through ``c`` and each of :func:`_tangents`, in stacked batches that
+    start at ``ASCENT_BATCH`` and double after a batch without gain.  It
+    stops within ``CG_GAP`` of ``bound``, an upper bound on the optimum,
+    after a sweep that gains at most ``VALUE_ATOL``, or after ``ASCENT_SWEEPS``."""
     value, start = _worst_values(forms, c[np.newaxis])[0], -math.inf
     for _ in range(ASCENT_SWEEPS):
         if bound - value <= CG_GAP or value - start <= VALUE_ATOL:
             break
-        start, tangents = value, _tangents(forms, c)
+        start, tangents, size = value, _tangents(forms, c), ASCENT_BATCH
         while len(tangents) and bound - value > CG_GAP:
+            batch = tangents[:size]
             # orthonormal (c, t') per tangent t; t' is arbitrary when t is parallel to c
-            bases = np.linalg.qr(np.stack([np.tile(c, (len(tangents), 1)), tangents], axis=-1))[0]
+            bases = np.linalg.qr(np.stack([np.tile(c, (len(batch), 1)), batch], axis=-1))[0]
             planes = np.swapaxes(bases, 1, 2)[:, np.newaxis] @ forms @ bases[:, np.newaxis]
             cands = (bases @ _best_on_circle(planes)[..., np.newaxis])[..., 0]
             cands /= np.sqrt(cands[:, np.newaxis] @ cands[..., np.newaxis])[:, 0]
             values = _worst_values(forms, cands)
-            j = int(np.argmax(values > value))  # the first tangent that gains
+            j = int((values > value).argmax())  # the first tangent that gains
             if values[j] <= value:
-                break
-            c, value, tangents = cands[j], values[j], tangents[j + 1 :]
+                tangents, size = tangents[size:], 2 * size
+            else:
+                c, value, tangents, size = cands[j], values[j], tangents[j + 1 :], ASCENT_BATCH
     return c
 
 

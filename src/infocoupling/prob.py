@@ -249,6 +249,8 @@ def weighted_inner(j1: np.ndarray, j2: np.ndarray, ref: Distribution) -> float:
     j2 = np.asarray(j2, dtype=float)
     if j1.shape != ref.probs.shape or j2.shape != ref.probs.shape:
         raise DimensionMismatchError("direction shapes do not match the reference")
+    if not (np.all(np.isfinite(j1)) and np.all(np.isfinite(j2))):
+        raise InvalidDistributionError("directions must be finite")
     ref.require_strictly_positive("weighting reference")
     return float(np.sum(j1 * j2 / ref.probs))
 
@@ -285,7 +287,8 @@ def mutual_information(fam: ConditionalFamily, marginal: Distribution) -> float:
 
 def apply_perturbation(pert: Perturbation) -> Distribution:
     """Materialize ``base + scale * direction`` as a validated distribution."""
-    point = pert.base.probs + pert.scale * pert.direction
+    with np.errstate(over="ignore"):  # an entry that overflows leaves [0, 1] too
+        point = pert.base.probs + pert.scale * pert.direction
     bad = np.nonzero((point < -SIMPLEX_ATOL) | (point > 1 + SIMPLEX_ATOL))[0]
     if bad.size:
         raise InvalidDistributionError(

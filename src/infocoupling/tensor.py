@@ -33,6 +33,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, refused above ``KRON_SIZE_CAP`` rows or columns."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise InvalidDistributionError("kron factors must be finite")
     _require_capped(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return np.kron(a, b)
 

@@ -294,6 +294,33 @@ class TestAscentWork:
             values = _worst_values(forms, np.stack([got, want]))
             assert abs(values[0] - values[1]) <= 1e-14
 
+    def test_ascent_scores_few_more_tangents_than_it_finds(self, monkeypatch):
+        # the first tangent left usually gains, so batches that grow only
+        # after a batch without gain score few tangents past the one taken
+        found, scored = [], []
+        tangents, best_on_circle = coupling._tangents, coupling._best_on_circle
+
+        def counted_tangents(forms, c):
+            out = tangents(forms, c)
+            found.append(len(out))
+            return out
+
+        def counted_best(forms):
+            scored.append(len(forms))
+            return best_on_circle(forms)
+
+        monkeypatch.setattr(coupling, "_tangents", counted_tangents)
+        monkeypatch.setattr(coupling, "_best_on_circle", counted_best)
+        rng = np.random.default_rng(2024)
+        for _ in range(150):
+            k = rng.integers(1, 9)
+            nx = rng.integers(2, 8)
+            px = instances.random_distribution(rng, nx)
+            chans = [instances.random_channel(rng, nx, rng.integers(2, 8)) for _ in range(k)]
+            solve_broadcast_single_direction([build_dtm(w, px) for w in chans])
+        assert sum(found) > 1000
+        assert sum(scored) <= 2 * sum(found)
+
     @staticmethod
     def _count_tangent_calls(monkeypatch):
         calls = []

@@ -18,9 +18,11 @@ from infocoupling import (
     WeightedVector,
     ace_correlation,
     antipodal_pair_ensemble,
+    apply_perturbation,
     brute_p2p,
     diagonal_maxmin,
     greedy_layer,
+    kron,
     lift_dtm,
     plan_ternary_two_layer,
     product_form_projector,
@@ -30,6 +32,7 @@ from infocoupling import (
     solve_p2p,
     split_rate_region,
     superposition_information,
+    weighted_inner,
 )
 from infocoupling.cli import EXIT_OK, EXIT_PARSE, main
 from infocoupling.errors import (
@@ -271,3 +274,28 @@ class TestBoundaryEscapes:
 
     def test_singular_index_accepts_numpy_integers(self, ternary_dtm):
         assert np.array_equal(ternary_dtm.right_vector(np.int64(2)), ternary_dtm.right_vector(2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_weighted_inner_rejects_nan(self, which, ternary_point):
+        # a NaN direction gave nan
+        dirs = [np.array([0.1, -0.1, 0.0]), np.array([0.2, 0.0, -0.2])]
+        dirs[which][0] = math.nan
+        with pytest.raises(InvalidDistributionError, match="finite"):
+            weighted_inner(*dirs, ternary_point)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_kron_rejects_nan(self, which):
+        # a NaN factor gave a NaN array
+        factors = [np.eye(2), np.ones((2, 3))]
+        factors[which][0, 1] = math.nan
+        with pytest.raises(InvalidDistributionError, match="finite"):
+            kron(*factors)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_perturbation_that_overflows(self, ternary_point):
+        # numpy's overflow RuntimeWarning escaped before the range check
+        pert = Perturbation(ternary_point, np.array([1e300, -1e300, 0.0]), 1e10)
+        with pytest.raises(InvalidDistributionError, match="leaves"):
+            apply_perturbation(pert)

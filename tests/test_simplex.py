@@ -1,11 +1,13 @@
 """The package's dense simplex, against HiGHS and against its own
 certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from infocoupling import ChannelMatrix, DiagonalInstance, Distribution, build_dtm, diagonal_maxmin, instances
-from infocoupling.coupling import _maxmin_lp, _simplex, solve_broadcast
+from infocoupling.coupling import _maxmin_lp, _maxmin_master, _maxmin_solve, _simplex, solve_broadcast
 from infocoupling.errors import InfeasibleError
 
 
@@ -146,6 +148,44 @@ def test_stale_basis_gives_the_cold_start_value():
             cold, _, _, _ = _maxmin_lp(ratings[:, :more])
             warm, _, _, _ = _maxmin_lp(ratings[:, :more], stale)
             assert abs(float(np.min(ratings[:, :more] @ warm) - np.min(ratings[:, :more] @ cold))) <= 1e-12
+
+
+def test_carried_inverse_over_appended_columns():
+    # one master grown column block by column block, as the column
+    # generation does, warm-started each time with its carried inverse
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        k, n = int(rng.integers(2, 10)), int(rng.integers(2, 40))
+        ratings = rng.uniform(0.0, 1.0, (k, n + 60))
+        a, basis = _maxmin_master(ratings[:, :n])
+        binv = np.linalg.inv(a[:, basis])
+        for have, more in itertools.pairwise((n, n + 1, n + 5, n + 20, n + 40, n + 60)):
+            a = np.hstack([a, np.vstack([ratings[:, have:more], np.ones(more - have)])])
+            warm, _, basis, _ = _maxmin_solve(a, basis, binv)
+            cold, _, _, _ = _maxmin_lp(ratings[:, :more])
+            assert np.max(np.abs(binv @ a[:, basis] - np.eye(k + 1))) <= 1e-10
+            assert abs(float(np.min(ratings[:, :more] @ warm) - np.min(ratings[:, :more] @ cold))) <= 1e-12
+
+
+def test_one_basis_inversion_per_broadcast_solve(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        k = rng.integers(1, 9)
+        nx = rng.integers(2, 8)
+        px = instances.random_distribution(rng, nx)
+        chans = [instances.random_channel(rng, nx, rng.integers(2, 8)) for _ in range(k)]
+        calls.clear()
+        solve_broadcast([build_dtm(w, px) for w in chans])
+        # the first round's starting basis, carried through every pivot and round after it
+        assert calls == [(k + 1, k + 1)]
 
 
 def test_equality_variant_reaches_levels_at_a_vertex():
