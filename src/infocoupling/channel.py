@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOutputError, DimensionMismatchError
-from .prob import Distribution, is_count, record
+from .prob import Distribution, is_count, plain, record
 
 COLUMN_SUM_ATOL = 1e-12
 UNIT_COLUMN_ATOL = 1e-9
@@ -159,7 +159,7 @@ class Dtm:
 
     def _index(self, i: int) -> int:
         if not (is_count(i, 0) and i < len(self.spectrum)):
-            raise DimensionMismatchError(f"singular index {i!r} is not in 0..{len(self.spectrum) - 1}")
+            raise DimensionMismatchError(f"singular index {plain(i)!r} is not in 0..{len(self.spectrum) - 1}")
         return i
 
     @property

@@ -19,6 +19,7 @@ path, malformed JSON) becomes a :class:`SpecError` where it happens.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -227,27 +228,16 @@ def cmd_spectrum(args):
     if spec["kind"] != "channel" or len(spec["channels"]) != 1:
         raise InputMismatchError("spectrum expects a single-channel spec")
     dtm = build_dtm(spec["channels"][0], spec["input_dist"])
-    report_top = verify_top_singular(dtm)
     results = {
         "singular_values": dtm.singular_values,
         "right_vectors_columns": dtm.spectrum.right_vectors.T,
         "left_vectors_columns": dtm.spectrum.left_vectors.T,
-        "top_pair_residuals": {
-            "sigma0_err": report_top.sigma0_err,
-            "v0_err": report_top.v0_err,
-            "w0_err": report_top.w0_err,
-        },
+        "top_pair_residuals": dataclasses.asdict(verify_top_singular(dtm)),
         "strong_dpi_coefficient": strong_dpi_coefficient(dtm),
         "output_dist": dtm.output.probs,
     }
     if len(dtm.spectrum) > 1:
-        corr = renyi_correlation(dtm)
-        results["maximal_correlation"] = {
-            "rho": corr.rho,
-            "f": corr.f,
-            "g": corr.g,
-            "ambiguous": corr.ambiguous,
-        }
+        results["maximal_correlation"] = dataclasses.asdict(renyi_correlation(dtm))
     summary = ", ".join(f"{v:.12g}" for v in dtm.singular_values)
     print(f"# {spec['name']}: singular values [{summary}]", file=sys.stderr)
     return {"spec": args.spec, "name": spec["name"]}, results, {}
@@ -269,12 +259,9 @@ def cmd_couple(args):
             "ambiguous": sol.ambiguous,
         }
     elif args.mode == "broadcast":
-        dtms = []
-        for spec in specs:
-            if spec["kind"] != "channel":
-                raise InputMismatchError("broadcast mode expects channel specs")
-            for w in spec["channels"]:
-                dtms.append(build_dtm(w, spec["input_dist"]))
+        if any(spec["kind"] != "channel" for spec in specs):
+            raise InputMismatchError("broadcast mode expects channel specs")
+        dtms = [build_dtm(w, spec["input_dist"]) for spec in specs for w in spec["channels"]]
         sol = solve_broadcast(dtms)
         results = {
             "lambda": sol.value,
@@ -300,11 +287,7 @@ def cmd_couple(args):
         dtms = build_mac_dtms(specs[0]["joint"], specs[0]["transmitters"])
         sol = solve_mac_common(dtms)
         results = {
-            "sigma_common": sol.sigma_common,
-            "private_sigmas": sol.private_sigmas,
-            "gain_db": sol.gain_db,
-            "stacked_vector": sol.stacked_vector,
-            "block_orthogonality_residuals": sol.block_orthogonality_residuals,
+            **dataclasses.asdict(sol),
             "two_letter_residual": mac_tensorization_check(dtms),
             "rate_common": _as_rate(0.5 * args.epsilon**2 * sol.sigma_common**2),
         }

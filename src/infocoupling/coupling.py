@@ -31,8 +31,8 @@ and one top singular pair answers the question, coherent combining gain
 included.
 
 The linear programs go through one dense revised simplex in numpy.  The
-column generation keeps its constraint matrix, optimal basis and basis
-inverse from round to round: new columns enter at 0, so both stay valid.
+column generation keeps its constraint matrix and optimal basis from
+round to round: new columns enter at 0, so the basis stays feasible.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _plane_forms(dtms):
     return px, q, 0.5 * (forms + forms.transpose(0, 2, 1))
 
 
-def _simplex(a, b, c, basis=None, binv=None):
+def _simplex(a, b, c, basis=None):
     """Dense revised simplex: ``min c @ x`` subject to ``a @ x = b`` and
     ``x >= 0``.
 
@@ -204,17 +204,16 @@ def _simplex(a, b, c, basis=None, binv=None):
     Without one, a phase 1 over one artificial column per row finds a
     basis or raises :class:`InfeasibleError`; artificial columns still
     basic after it sit at 0 and block any step that would move them.
-    ``binv``, the inverse of ``a[:, basis]``, is computed at entry only
-    when not given; each pivot updates it in place by the product form's
-    rank-one eta step (Dantzig & Orchard-Hays 1954).  Dantzig's rule picks
-    the most negative reduced cost to enter and, among the rows tied in
-    the ratio test, the largest pivot to leave.  Once a basis comes back,
-    the phase goes on under Bland's smallest-index rule, which cannot
-    cycle in exact arithmetic; a basis that comes back under Bland's rule
-    means that the reduced costs are roundoff, and the phase ends there.
-    Returns the solution, the duals ``y`` with ``B^T y = c_B``, the
-    optimal basis and the pivot count; raises :class:`BudgetError` after
-    ``SIMPLEX_PIVOTS`` pivots.
+    The basis is inverted at entry, and each pivot updates the inverse by
+    the product form's rank-one eta step (Dantzig & Orchard-Hays 1954).
+    Dantzig's rule picks the most negative reduced cost to enter and,
+    among the rows tied in the ratio test, the largest pivot to leave.
+    Once a basis comes back, the phase goes on under Bland's smallest-index
+    rule, which cannot cycle in exact arithmetic; a basis that comes back
+    under Bland's rule means that the reduced costs are roundoff, and the
+    phase ends there.  Returns the solution, the duals ``y`` with
+    ``B^T y = c_B``, the optimal basis and the pivot count; raises
+    :class:`BudgetError` after ``SIMPLEX_PIVOTS`` pivots.
     """
     m, n = a.shape
     if basis is None:
@@ -224,7 +223,7 @@ def _simplex(a, b, c, basis=None, binv=None):
     else:
         phases = [np.asarray(c, dtype=float)]
     basis, pivots = np.array(basis), 0
-    binv = np.linalg.inv(a[:, basis]) if binv is None else binv
+    binv = np.linalg.inv(a[:, basis])
     for phase, cost in enumerate(phases):
         stuck = phase > 0  # artificial columns after a phase 1
         bland, seen = False, set()
@@ -279,20 +278,14 @@ def _maxmin_master(ratings: np.ndarray):
     return a, [0, *np.delete(np.arange(1, k + 1), np.argmin(ratings[:, j])), k + 1 + j]
 
 
-def _maxmin_solve(a: np.ndarray, basis, binv=None):
-    """:func:`_simplex` on a :func:`_maxmin_master` matrix from ``basis``
-    and ``binv``: the mixture, dual weights, optimal basis and pivots."""
+def _maxmin_solve(a: np.ndarray, basis):
+    """:func:`_simplex` on a :func:`_maxmin_master` matrix from ``basis``:
+    the mixture, dual weights, optimal basis and pivots."""
     k, cost = len(a) - 1, np.zeros(a.shape[1])
     cost[0] = -1.0
-    x, y, basis, pivots = _simplex(a, np.eye(k + 1)[k], cost, basis, binv)
+    x, y, basis, pivots = _simplex(a, np.eye(k + 1)[k], cost, basis)
     p, w = np.maximum(x[k + 1 :], 0.0), np.maximum(y[:k], 0.0)
     return p / p.sum(), w / w.sum(), basis, pivots
-
-
-def _maxmin_lp(ratings: np.ndarray, basis=None):
-    """:func:`_maxmin_solve` from :func:`_maxmin_master`'s basis or a warm ``basis``."""
-    a, start = _maxmin_master(ratings)
-    return _maxmin_solve(a, start if basis is None else basis)
 
 
 @record("dual_weights", "gram", "system_values")
@@ -334,10 +327,9 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     Solves the Gram relaxation exactly by column generation.  Each round
     solves the max-min linear program over mixtures of the rank-one
     columns found so far (one per receiver's top eigenvector to start);
-    the mixture is a primal Gram matrix, and the LP keeps its columns,
-    optimal basis and basis inverse from round to round.  For any simplex
-    point ``x`` the largest eigenvalue of ``sum_i x_i H_i`` bounds the
-    optimum from above.
+    the mixture is a primal Gram matrix, and the LP keeps its columns and
+    optimal basis from round to round.  For any simplex point ``x`` the
+    largest eigenvalue of ``sum_i x_i H_i`` bounds the optimum from above.
     The first round queries it at the LP's dual weights ``w``; later
     rounds query it at ``(1 - t) w* + t w`` for each ``t`` in
     ``PRICING_STEPS``, where ``w*`` is the best dual point so far, which
@@ -353,9 +345,9 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
     px, q, forms = _plane_forms(dtms)
     cols = np.linalg.eigh(forms)[1][:, :, -1]
     a, basis = _maxmin_master(_ratings(forms, cols))
-    binv, primal, dual, pivots = np.linalg.inv(a[:, basis]), -math.inf, math.inf, 0
+    primal, dual, pivots = -math.inf, math.inf, 0
     for rounds in range(1, CG_ROUNDS + 1):
-        p, w, basis, used = _maxmin_solve(a, basis, binv)
+        p, w, basis, used = _maxmin_solve(a, basis)
         pivots += used
         m = (cols.T * p) @ cols
         m = 0.5 * (m + m.T)
@@ -384,9 +376,7 @@ def solve_broadcast(dtms, epsilon: float = 1.0) -> BroadcastSolution:
 
     mu, phi = np.linalg.eigh(m_star)
     keep = mu > 1e-12
-    mu, phi = mu[keep], phi[:, keep]
-    order = np.argsort(mu)[::-1]
-    mu, phi = mu[order], phi[:, order]
+    mu, phi = mu[keep][::-1], phi[:, keep][:, ::-1]
     return BroadcastSolution(
         value=primal,
         ensemble=_antipodal_ensemble([q @ c for c in phi.T], mu, px, epsilon),
@@ -600,7 +590,7 @@ def diagonal_maxmin(inst: DiagonalInstance, target_levels=None) -> DiagonalMaxMi
         value = float(squares[-1] @ s)
         s /= s.sum()
     else:
-        s = _maxmin_lp(squares / scale)[0]
+        s = _maxmin_solve(*_maxmin_master(squares / scale))[0]
         value = float(np.min(squares @ s))
     support = tuple(int(i) for i in np.nonzero(s > 1e-12)[0])
     return DiagonalMaxMinResult(c_star=np.sqrt(s), support=support, value=value)
@@ -628,12 +618,9 @@ def mac_marginal_channels(joint: np.ndarray, input_dists) -> tuple[list[ChannelM
     channels = []
     for i in range(k):
         tmp = joint
-        axis = 1
         for j in range(k):
-            if j == i:
-                axis += 1
-                continue
-            tmp = np.tensordot(tmp, input_dists[j].probs, axes=([axis], [0]))
+            if j != i:  # each earlier j is gone: j < i sits at axis 1, j > i after i's at 2
+                tmp = np.tensordot(tmp, input_dists[j].probs, axes=([1 + (j > i)], [0]))
         channels.append(ChannelMatrix(tmp))
     py = channels[0].entries @ input_dists[0].probs
     return channels, Distribution(py)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelMatrix
-from .errors import RegimeError
+from .errors import DimensionMismatchError, RegimeError
 from .prob import Distribution
 
 DISTRIBUTION_FLOOR = 0.05
@@ -107,18 +107,15 @@ def random_unit_direction(rng: np.random.Generator, base: Distribution) -> np.nd
     """Unit weighted direction orthogonal to ``sqrt(base)``.
 
     Perturbing ``base`` along the unweighted form of the returned vector
-    keeps the result on the simplex for small scales.
+    keeps the result on the simplex for small scales.  A one-symbol base
+    has no such direction and raises :class:`DimensionMismatchError`.
     """
+    if base.alphabet_size < 2:
+        raise DimensionMismatchError("a one-symbol base has no direction orthogonal to sqrt(base)")
     v0 = base.sqrt()
     raw = rng.standard_normal(base.alphabet_size)
     raw -= (raw @ v0) * v0
-    norm = np.linalg.norm(raw)
-    if norm < 1e-12:
-        raw = np.zeros_like(raw)
-        raw[0], raw[1] = v0[1], -v0[0]
-        raw -= (raw @ v0) * v0
-        norm = np.linalg.norm(raw)
-    return raw / norm
+    return raw / np.linalg.norm(raw)
 
 
 def random_joint(rng: np.random.Generator, nx: int, ny: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import (
     RegimeError,
 )
 from .instances import nested_ternary_channel, nested_ternary_operating_point
-from .prob import Distribution, is_count, record, require_nonnegative
+from .prob import Distribution, is_count, plain, record, require_nonnegative
 
 
 @record("direction")
@@ -78,7 +78,7 @@ def greedy_layer(
     support = tuple(range(w.input_size) if support is None else support)
     symbols = all(is_count(i, 0) and i < w.input_size for i in support)
     if not symbols or len(set(support)) < len(support):
-        raise DimensionMismatchError(f"support {support!r} must be distinct symbols of range({w.input_size})")
+        raise DimensionMismatchError(f"support {plain(support)!r} must be distinct symbols of range({w.input_size})")
     support = tuple(sorted(int(i) for i in support))
     if len(support) < 2:
         raise DegenerateLayerError("a layer needs at least two usable symbols")
@@ -168,7 +168,7 @@ def plan_ternary_two_layer(eta: float, gamma: float) -> LayerPlan:
     """
     if not 0 < gamma < eta < 0.25:
         raise RegimeError(
-            f"requires 0 < gamma < eta < 1/4, got eta={eta!r}, gamma={gamma!r}"
+            f"requires 0 < gamma < eta < 1/4, got eta={plain(eta)!r}, gamma={plain(gamma)!r}"
         )
     w = nested_ternary_channel(eta, gamma)
     op1 = nested_ternary_operating_point()
@@ -201,11 +201,11 @@ class BlockCodeConfig:
             raise ConfigurationError("n2 and k2 must be given together")
         sizes = (self.n1, self.k1, self.trials) + (() if self.n2 is None else (self.n2, self.k2))
         if not all(is_count(v, 1) for v in sizes):
-            raise ConfigurationError(f"block sizes and trials must be positive integers, not {sizes!r}")
+            raise ConfigurationError(f"block sizes and trials must be positive integers, not {plain(sizes)!r}")
         if self.n2 is not None and self.n2 * self.k2 != self.n1:
             raise ConfigurationError("two-layer plans require n2 * k2 == n1")
         if not is_count(self.seed, 0):
-            raise ConfigurationError(f"seed must be a non-negative integer, not {self.seed!r}")
+            raise ConfigurationError(f"seed must be a non-negative integer, not {plain(self.seed)!r}")
 
 
 @record()
@@ -223,11 +223,7 @@ def _type_counts(probs: np.ndarray, n: int) -> np.ndarray:
     """Largest-remainder rounding of ``n * probs`` to integer counts."""
     target = probs * n
     counts = np.floor(target).astype(int)
-    short = n - counts.sum()
-    if short:
-        remainders = target - counts
-        for idx in np.argsort(-remainders)[:short]:
-            counts[idx] += 1
+    counts[np.argsort(counts - target)[: n - counts.sum()]] += 1
     bad = (probs > 1e-12) & (counts == 0)
     if np.any(bad):
         raise ConfigurationError(

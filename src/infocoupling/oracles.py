@@ -30,7 +30,7 @@ from .errors import (
     ResolutionError,
     SingularWeightError,
 )
-from .prob import Distribution, _kl, is_count, record, require_positive
+from .prob import Distribution, _kl, is_count, plain, record, require_positive
 
 ACE_MAX_ITERATIONS = 100_000
 ACE_TOL = 1e-12
@@ -47,7 +47,7 @@ class SearchBudget:
 
     def __post_init__(self):
         if not is_count(self.grid_resolution, 8):
-            raise ResolutionError(f"grid resolution must be an integer >= 8, not {self.grid_resolution!r}")
+            raise ResolutionError(f"grid resolution must be an integer >= 8, not {plain(self.grid_resolution)!r}")
 
 
 def _direction_grid(dim: int, resolution: int) -> np.ndarray:

@@ -80,19 +80,19 @@ class Distribution:
         bad = np.nonzero(~np.isfinite(probs))[0]
         if bad.size:
             raise InvalidDistributionError(
-                f"non-finite probability {probs[bad[0]]!r} at index {bad[0]}",
+                f"non-finite probability {float(probs[bad[0]])!r} at index {bad[0]}",
                 index=int(bad[0]),
             )
         neg = np.nonzero(probs < 0)[0]
         if neg.size:
             raise InvalidDistributionError(
-                f"negative probability {probs[neg[0]]!r} at index {neg[0]}",
+                f"negative probability {float(probs[neg[0]])!r} at index {neg[0]}",
                 index=int(neg[0]),
             )
         total = probs.sum()
         if abs(total - 1.0) > SIMPLEX_ATOL:
             raise InvalidDistributionError(
-                f"probabilities sum to {total!r}, not 1 (renormalization is refused)"
+                f"probabilities sum to {float(total)!r}, not 1 (renormalization is refused)"
             )
         object.__setattr__(self, "probs", _freeze(probs))
 
@@ -120,8 +120,15 @@ class Distribution:
 def require_nonnegative(value: float, what: str) -> float:
     """``value``, a perturbation size, unless it is negative or not finite."""
     if not (math.isfinite(value) and value >= 0):
-        raise InvalidDistributionError(f"{what} must be finite and non-negative, not {value!r}")
+        raise InvalidDistributionError(f"{what} must be finite and non-negative, not {plain(value)!r}")
     return value
+
+
+def plain(value):
+    """``value`` for a message: numpy scalars, also in a tuple, as Python ones."""
+    if isinstance(value, tuple):
+        return tuple(map(plain, value))
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def is_count(value, least: int) -> bool:
@@ -135,7 +142,7 @@ def is_count(value, least: int) -> bool:
 def require_positive(value: float, what: str) -> float:
     """``value``, a perturbation size, unless it is not finite and above 0."""
     if not (math.isfinite(value) and value > 0):
-        raise InvalidDistributionError(f"{what} must be finite and positive, not {value!r}")
+        raise InvalidDistributionError(f"{what} must be finite and positive, not {plain(value)!r}")
     return value
 
 
@@ -162,7 +169,7 @@ class Perturbation:
             )
         if not abs(self.direction.sum()) <= ZERO_SUM_ATOL:  # NaN fails too
             raise InvalidDistributionError(
-                f"direction entries sum to {self.direction.sum()!r}, not 0"
+                f"direction entries sum to {float(self.direction.sum())!r}, not 0"
             )
         require_nonnegative(self.scale, "scale")
 
@@ -293,7 +300,7 @@ def apply_perturbation(pert: Perturbation) -> Distribution:
     if bad.size:
         raise InvalidDistributionError(
             f"entry {bad[0]} leaves [0, 1] under the perturbation "
-            f"(value {point[bad[0]]!r})",
+            f"(value {float(point[bad[0]])!r})",
             index=int(bad[0]),
         )
     return Distribution(np.clip(point, 0.0, 1.0))

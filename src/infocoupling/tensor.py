@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import Dtm, Spectrum, canonical_spectrum
 from .errors import CapacityError, DimensionMismatchError, InvalidDistributionError
-from .prob import is_count, record
+from .prob import is_count, plain, record
 
 KRON_SIZE_CAP = 4096
 MAX_LETTERS = 3
@@ -72,14 +72,16 @@ class LiftedDtm:
         return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the lift to a vector over the n-letter input alphabet
-        without materializing the Kronecker power."""
+        """Apply the lift to a finite vector over the n-letter input
+        alphabet without materializing the Kronecker power."""
         nx = self.base.input.alphabet_size
         vec = np.asarray(vec, dtype=float)
         if vec.size != nx**self.letters:
             raise DimensionMismatchError(
                 f"vector has {vec.size} entries, lift expects {nx**self.letters}"
             )
+        if not np.all(np.isfinite(vec)):
+            raise InvalidDistributionError("vector entries must be finite")
         tensor = vec.reshape((nx,) * self.letters)
         for axis in range(self.letters):
             tensor = np.tensordot(self.base.matrix, tensor, axes=([1], [axis]))
@@ -89,7 +91,7 @@ class LiftedDtm:
 
 def lift_dtm(dtm: Dtm, letters: int) -> LiftedDtm:
     if not is_count(letters, 1):
-        raise DimensionMismatchError(f"letters must be an integer >= 1, not {letters!r}")
+        raise DimensionMismatchError(f"letters must be an integer >= 1, not {plain(letters)!r}")
     return LiftedDtm(base=dtm, letters=letters)
 
 
@@ -158,14 +160,8 @@ def product_form_projector(psi: np.ndarray, base_v0: np.ndarray) -> ProductFormD
         )
     if n > MAX_LETTERS:
         raise CapacityError(f"letter count {n} above the supported maximum {MAX_LETTERS}")
-    columns = []
-    eye = np.eye(nx)
-    for k in range(n):
-        factors = [v0] * n
-        for j in range(nx):
-            factors[k] = eye[:, j]
-            columns.append(reduce(np.kron, factors))
-    basis = np.stack(columns, axis=1)
+    col = v0[:, np.newaxis]
+    basis = np.hstack([reduce(np.kron, [col] * k + [np.eye(nx)] + [col] * (n - k - 1)) for k in range(n)])
     coeffs, _, _, _ = np.linalg.lstsq(basis, psi, rcond=None)
     residual = float(np.linalg.norm(psi - basis @ coeffs))
     return ProductFormDecomposition(

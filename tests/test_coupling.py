@@ -469,6 +469,20 @@ class TestMacCommon:
         expected = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
         assert np.max(np.abs(chans[0].entries - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 3, 4), (4, 2, 5, 3)])
+    def test_marginal_channels_match_einsum(self, sizes):
+        # distinct alphabet sizes, so averaging over the wrong axis cannot pass
+        rng = np.random.default_rng(len(sizes))
+        joint = np.moveaxis(rng.dirichlet(np.ones(3), size=sizes), -1, 0)
+        dists = [instances.random_distribution(rng, n) for n in sizes]
+        chans, _ = mac_marginal_channels(joint, dists)
+        names = "abcd"[: len(sizes)]
+        for i, w in enumerate(chans):
+            others = [j for j in range(len(sizes)) if j != i]
+            spec = f"y{names}," + ",".join(names[j] for j in others) + f"->y{names[i]}"
+            reference = np.einsum(spec, joint, *(dists[j].probs for j in others))
+            assert np.max(np.abs(w.entries - reference)) <= 1e-15
+
     def test_joint_within_tolerance_is_renormalized(self):
         joint = instances.binary_adder_joint()
         joint[0, 0, 0] += 1e-10

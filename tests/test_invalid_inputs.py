@@ -2,6 +2,7 @@
 errors at once, instead of a NaN result, a library error or a long
 iteration."""
 
+import json
 import math
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from infocoupling import (
     brute_p2p,
     diagonal_maxmin,
     greedy_layer,
+    instances,
     kron,
     lift_dtm,
     plan_ternary_two_layer,
@@ -39,6 +41,7 @@ from infocoupling.errors import (
     ConfigurationError,
     DimensionMismatchError,
     InfeasibleError,
+    InfoCouplingError,
     InputMismatchError,
     InvalidDistributionError,
     ResolutionError,
@@ -239,6 +242,11 @@ class TestOneSymbolAlphabet:
         with pytest.raises(DimensionMismatchError, match="one-symbol alphabet has no perturbation direction"):
             s_ratio_search(w, px, SearchBudget(grid_resolution=16))
 
+    def test_random_direction_needs_a_second_symbol(self):
+        # a one-symbol base leaked an IndexError
+        with pytest.raises(DimensionMismatchError, match="one-symbol base"):
+            instances.random_unit_direction(np.random.default_rng(0), Distribution([1.0]))
+
 
 class TestBoundaryEscapes:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -294,8 +302,50 @@ class TestBoundaryEscapes:
             kron(*factors)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_lift_apply_rejects_non_finite(self, bad, ternary_dtm):
+        # a NaN or infinite entry gave an all-NaN vector
+        vec = np.ones(9)
+        vec[4] = bad
+        with pytest.raises(InvalidDistributionError, match="finite"):
+            lift_dtm(ternary_dtm, 2).apply(vec)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_perturbation_that_overflows(self, ternary_point):
         # numpy's overflow RuntimeWarning escaped before the range check
         pert = Perturbation(ternary_point, np.array([1e300, -1e300, 0.0]), 1e10)
         with pytest.raises(InvalidDistributionError, match="leaves"):
             apply_perturbation(pert)
+
+
+# bad inputs given as numpy scalars; under numpy 2 their repr reads np.float64(...)
+NUMPY_SCALAR_CASES = {
+    "non-finite probability": lambda dtm, w, px: Distribution(np.array([np.inf, 1.0])),
+    "negative probability": lambda dtm, w, px: Distribution(np.array([1.5, -0.5])),
+    "probability sum": lambda dtm, w, px: Distribution(np.array([0.5, 0.6])),
+    "direction sum": lambda dtm, w, px: Perturbation(px, np.array([0.1, 0.0, 0.0]), 0.1),
+    "perturbed value": lambda dtm, w, px: apply_perturbation(Perturbation(px, np.array([1.0, -1.0, 0.0]), 10.0)),
+    "non-negative size": lambda dtm, w, px: solve_p2p(dtm, np.float64(-0.1)),
+    "positive size": lambda dtm, w, px: brute_p2p(w, px, np.float64(-1e-3), SearchBudget(16)),
+    "singular index": lambda dtm, w, px: dtm.right_vector(np.int64(7)),
+    "layer support": lambda dtm, w, px: greedy_layer(w, px, 0.1, support=(np.int64(0), np.int64(7))),
+    "block sizes": lambda dtm, w, px: BlockCodeConfig(n1=np.int64(400), k1=np.int64(-5)),
+    "simulation seed": lambda dtm, w, px: BlockCodeConfig(n1=400, k1=5, seed=np.int64(-1)),
+    "letters": lambda dtm, w, px: lift_dtm(dtm, np.int64(0)),
+    "grid resolution": lambda dtm, w, px: SearchBudget(np.int64(4)),
+    "regime": lambda dtm, w, px: plan_ternary_two_layer(np.float64(0.3), np.float64(0.1)),
+}
+
+
+class TestMessagesShowPlainNumbers:
+    @pytest.mark.parametrize("case", NUMPY_SCALAR_CASES)
+    def test_no_numpy_repr(self, case, ternary_dtm, ternary_channel, ternary_point):
+        with pytest.raises(InfoCouplingError) as info:
+            NUMPY_SCALAR_CASES[case](ternary_dtm, ternary_channel, ternary_point)
+        assert "np." not in str(info.value)
+
+    def test_cli_negative_probability(self, capsys, tmp_path):
+        spec = tmp_path / "negative.json"
+        spec.write_text(json.dumps({"input_dist": [1.5, -0.5], "channel": [[0.9, 0.1], [0.1, 0.9]]}))
+        assert main(["couple", str(spec), "--mode", "p2p"]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: bad input_dist: negative probability -0.5 at index 1\n"

@@ -1,13 +1,11 @@
 """The package's dense simplex, against HiGHS and against its own
 certificates."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from infocoupling import ChannelMatrix, DiagonalInstance, Distribution, build_dtm, diagonal_maxmin, instances
-from infocoupling.coupling import _maxmin_lp, _maxmin_master, _maxmin_solve, _simplex, solve_broadcast
+from infocoupling.coupling import _maxmin_master, _maxmin_solve, _simplex, solve_broadcast
 from infocoupling.errors import InfeasibleError
 
 
@@ -53,13 +51,13 @@ def test_maxmin_matches_highs():
             options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
         )
         assert res.success
-        p, _, _, _ = _maxmin_lp(ratings)
+        p, _, _, _ = _maxmin_solve(*_maxmin_master(ratings))
         assert abs(float(np.min(ratings @ p)) + res.fun) <= 1e-10
 
 
 def test_maxmin_certifies_itself():
     for ratings in CORPUS:
-        p, w, basis, _ = _maxmin_lp(ratings)
+        p, w, basis, _ = _maxmin_solve(*_maxmin_master(ratings))
         for mix in (p, w):
             assert np.all(mix >= 0) and abs(mix.sum() - 1.0) <= 1e-12
         assert float(np.max(w @ ratings) - np.min(ratings @ p)) <= 1e-10
@@ -143,31 +141,14 @@ def test_stale_basis_gives_the_cold_start_value():
     for _ in range(50):
         k, n = int(rng.integers(2, 10)), int(rng.integers(2, 40))
         ratings = rng.uniform(0.0, 1.0, (k, n + 60))
-        _, _, stale, _ = _maxmin_lp(ratings[:, :n])
+        _, _, stale, _ = _maxmin_solve(*_maxmin_master(ratings[:, :n]))
         for more in (n + 1, n + 20, n + 60):
-            cold, _, _, _ = _maxmin_lp(ratings[:, :more])
-            warm, _, _, _ = _maxmin_lp(ratings[:, :more], stale)
+            cold, _, _, _ = _maxmin_solve(*_maxmin_master(ratings[:, :more]))
+            warm, _, _, _ = _maxmin_solve(_maxmin_master(ratings[:, :more])[0], stale)
             assert abs(float(np.min(ratings[:, :more] @ warm) - np.min(ratings[:, :more] @ cold))) <= 1e-12
 
 
-def test_carried_inverse_over_appended_columns():
-    # one master grown column block by column block, as the column
-    # generation does, warm-started each time with its carried inverse
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        k, n = int(rng.integers(2, 10)), int(rng.integers(2, 40))
-        ratings = rng.uniform(0.0, 1.0, (k, n + 60))
-        a, basis = _maxmin_master(ratings[:, :n])
-        binv = np.linalg.inv(a[:, basis])
-        for have, more in itertools.pairwise((n, n + 1, n + 5, n + 20, n + 40, n + 60)):
-            a = np.hstack([a, np.vstack([ratings[:, have:more], np.ones(more - have)])])
-            warm, _, basis, _ = _maxmin_solve(a, basis, binv)
-            cold, _, _, _ = _maxmin_lp(ratings[:, :more])
-            assert np.max(np.abs(binv @ a[:, basis] - np.eye(k + 1))) <= 1e-10
-            assert abs(float(np.min(ratings[:, :more] @ warm) - np.min(ratings[:, :more] @ cold))) <= 1e-12
-
-
-def test_one_basis_inversion_per_broadcast_solve(monkeypatch):
+def test_one_basis_inversion_per_lp_round(monkeypatch):
     calls = []
     inv = np.linalg.inv
 
@@ -183,9 +164,9 @@ def test_one_basis_inversion_per_broadcast_solve(monkeypatch):
         px = instances.random_distribution(rng, nx)
         chans = [instances.random_channel(rng, nx, rng.integers(2, 8)) for _ in range(k)]
         calls.clear()
-        solve_broadcast([build_dtm(w, px) for w in chans])
-        # the first round's starting basis, carried through every pivot and round after it
-        assert calls == [(k + 1, k + 1)]
+        sol = solve_broadcast([build_dtm(w, px) for w in chans])
+        # each round inverts its starting basis once; its pivots update that inverse
+        assert calls == [(k + 1, k + 1)] * sol.rounds
 
 
 def test_equality_variant_reaches_levels_at_a_vertex():
